@@ -3,6 +3,10 @@
 Column subsets of a matrix with up to 64 columns are packed into unsigned
 integers (bit i = column i).  Numeric order of the masks equals
 colexicographic order of the subsets, which the generators below rely on.
+
+A subset lattice is a `bool` array of length 2^n indexed by such masks.
+`up_close` closes it upwards in place and `count_by_popcount` counts it by
+subset size; neither needs more than one chunk of scratch memory.
 """
 
 from __future__ import annotations
@@ -12,9 +16,60 @@ from typing import Iterable, List
 import numpy as np
 
 
+LATTICE_CHUNK = 1 << 16
+
+# Keep-masks of the bytes whose index bit i is clear, i = 0, 1, 2, in a
+# little-endian 64-bit word of eight consecutive lattice entries.
+_LOW_BYTES = [np.uint64(m) for m in
+              (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
+
+
 def popcount(a: np.ndarray) -> np.ndarray:
     """Per-element population count for an unsigned integer array."""
     return np.bitwise_count(a)
+
+
+def up_close(a: np.ndarray) -> np.ndarray:
+    """In place, set a[S] for every S that has a subset T with a[T] set.
+
+    `a` is a contiguous `bool` array of length 2^n.  This is Yates'
+    sum-over-subsets transform with OR: pass i folds each entry into the
+    one that also holds bit i.  Entries are single bytes, so the passes for
+    bits 0..2 are shifts inside 64-bit words, one chunk at a time, and the
+    rest fold whole words in place.
+    """
+    n = len(a).bit_length() - 1
+    if len(a) != 1 << n or a.dtype != np.bool_:
+        raise ValueError("expected a bool array of length 2^n")
+    if n < 3:
+        for i in range(n):
+            v = a.reshape(-1, 2, 1 << i)
+            v[:, 1] |= v[:, 0]
+        return a
+    words = a.view("<u8")
+    step = max(LATTICE_CHUNK // 8, 1)
+    for start in range(0, len(words), step):
+        block = words[start:start + step]
+        for i, keep in enumerate(_LOW_BYTES):
+            block |= (block & keep) << np.uint64(8 << i)
+    for i in range(n - 3):
+        v = words.reshape(-1, 2, 1 << i)
+        v[:, 1] |= v[:, 0]
+    return a
+
+
+def count_by_popcount(a: np.ndarray) -> List[int]:
+    """counts[w] = number of set entries a[S] with |S| = w, w = 0..n."""
+    n = len(a).bit_length() - 1
+    chunk = min(len(a), LATTICE_CHUNK)
+    low = popcount(np.arange(chunk, dtype=np.uint32))
+    width = chunk.bit_length()  # weights 0..log2(chunk) inside a chunk
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, len(a), chunk):
+        high = start.bit_count()
+        counts[high:high + width] += np.bincount(low[a[start:start + chunk]],
+                                                 minlength=width)
+    return [int(c) for c in counts]
 
 
 def mask_dtype(n: int) -> np.dtype:

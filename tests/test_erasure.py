@@ -1,16 +1,23 @@
+from contextlib import contextmanager
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_parity_check
-from reference import ref_codewords, ref_peel
+from reference import ref_codewords, ref_ml_fails, ref_peel
+from stopred import _bits, erasure
 from stopred.cli import load_asset
-from stopred.erasure import (PsiProfile, _peel_residues, failure_curve,
+from stopred.erasure import (PsiProfile, _peel_residues, _psi_ml_by_weight,
+                             _psi_ml_on_lattice, _psi_stop_by_weight,
+                             _psi_stop_on_lattice, failure_curve,
                              iterative_decode, ml_decode, psi_ml, psi_stop)
 from stopred.field import make_field
 from stopred.linalg import LinearCode, Matrix
-from stopred.stopping import is_stopping_set
+from stopred.stopping import is_stopping_set, stopping_distance
 
 
 def test_peel_empty_pattern():
@@ -217,3 +224,94 @@ def test_psi_csv_round_trip(golay12):
     assert text.splitlines()[0] == "w,count"
     back = PsiProfile.from_csv(text)
     assert back.counts == profile.counts
+
+
+@st.composite
+def small_matrices(draw, max_rows_by_q):
+    q = draw(st.sampled_from(sorted(max_rows_by_q)))
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(0, max_rows_by_q[q]))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    return Matrix(make_field(q), np.array(rows, dtype=np.uint8).reshape(m, n))
+
+
+def _oracle_table(n, fails):
+    counts = [0] * (n + 1)
+    for mask in range(1 << n):
+        pattern = [j for j in range(n) if (mask >> j) & 1]
+        counts[len(pattern)] += bool(fails(pattern))
+    return counts
+
+
+@contextmanager
+def lattice_chunk(size):
+    """Shrink the lattice chunk so that n <= 9 spans several chunks."""
+    with mock.patch.object(_bits, "LATTICE_CHUNK", size), \
+            mock.patch.object(erasure, "LATTICE_CHUNK", size):
+        yield
+
+
+CHUNKS = st.sampled_from([1, 8, _bits.LATTICE_CHUNK])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices({2: 11, 3: 11, 4: 11}), CHUNKS)
+def test_psi_stop_lattice_matches_oracle_and_per_weight(h, chunk):
+    rows = h.data.tolist()
+    with lattice_chunk(chunk):
+        table = _psi_stop_on_lattice(h)
+    assert table == _oracle_table(h.n_cols, lambda e: ref_peel(rows, e))
+    assert table == _psi_stop_by_weight(h, None)
+
+
+# generators stay at q^k <= 64 codewords: the oracle re-enumerates the code
+# for every one of the 2^n patterns
+@settings(max_examples=60, deadline=None)
+@given(small_matrices({2: 6, 3: 3, 4: 3}), CHUNKS)
+def test_psi_ml_lattice_matches_oracle_and_per_weight(g, chunk):
+    code = LinearCode.from_generator(g)
+    rows, q = g.data.tolist(), g.field.q
+    with lattice_chunk(chunk):
+        table = _psi_ml_on_lattice(code)
+    assert table == _oracle_table(g.n_cols, lambda e: ref_ml_fails(rows, q, e))
+    assert table == _psi_ml_by_weight(code, None)
+
+
+@pytest.mark.parametrize("name", ["h24", "hp24", "h12", "hp12", "hexacode"])
+def test_lowest_failing_weight_is_s_and_d(name):
+    h = load_asset(name)
+    code = LinearCode.from_parity_check(h)
+    # every complete table of these codes is cheaper on the lattice
+    with mock.patch.object(erasure, "weight_masks", side_effect=AssertionError):
+        psi_h = psi_stop(h).counts
+        psi_c = psi_ml(code).counts
+    assert min(w for w, c in enumerate(psi_h) if c) == stopping_distance(h).s
+    assert min(w for w, c in enumerate(psi_c) if c) == code.min_distance()
+
+
+def _bit_rows_24():
+    # an all-ones row over the five bit rows of the column index: rank 6
+    j = np.arange(24)
+    return np.vstack([np.ones(24, dtype=int), (j >> np.arange(5)[:, None]) & 1])
+
+
+@pytest.mark.parametrize("rows, d", [(np.ones((1, 24), dtype=int), 2),
+                                     (_bit_rows_24(), 4)],
+                         ids=["spc24", "bits24"])
+def test_high_rate_tables_stay_per_weight(rows, d):
+    # rank 1 or 6 on 24 positions: the per-weight path tests the 25 or
+    # 190 051 patterns of weight <= rank, where the lattice would cover 2^24
+    # subsets and enumerate 2^23 or 2^18 codewords
+    h = Matrix(make_field(2), rows.astype(np.uint8))
+    code = LinearCode.from_parity_check(h)
+    with mock.patch.object(erasure, "_stopping_sets",
+                           side_effect=AssertionError), \
+            mock.patch.object(erasure, "_codeword_supports",
+                              side_effect=AssertionError):
+        psi_h = psi_stop(h).counts
+        psi_c = psi_ml(code).counts
+    assert min(w for w, c in enumerate(psi_h) if c) == stopping_distance(h).s
+    assert min(w for w, c in enumerate(psi_c) if c) == d
+    if len(rows) == 1:
+        assert psi_h == psi_c == [0, 0] + [comb(24, w) for w in range(2, 25)]
