@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .linalg import LinearCode
 
@@ -24,6 +24,13 @@ class BoundEntry:
     method: str = ""
 
 
+def bracket(entries: List[BoundEntry]) -> Tuple[Optional[int], Optional[int]]:
+    """(largest lower bound, smallest upper bound); None for a missing side."""
+    lows = [e.value for e in entries if e.kind == "lower"]
+    ups = [e.value for e in entries if e.kind == "upper"]
+    return (max(lows) if lows else None, min(ups) if ups else None)
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     n: int
@@ -35,13 +42,11 @@ class BoundsReport:
 
     @property
     def combined_lower(self) -> Optional[int]:
-        lows = [e.value for e in self.entries if e.kind == "lower"]
-        return max(lows) if lows else None
+        return bracket(self.entries)[0]
 
     @property
     def combined_upper(self) -> Optional[int]:
-        ups = [e.value for e in self.entries if e.kind == "upper"]
-        return min(ups) if ups else None
+        return bracket(self.entries)[1]
 
 
 def combination_upper(r: int, d: int) -> int:
@@ -102,7 +107,12 @@ def _mds_dims(n: int, k: int) -> int:
 
 
 def mds_bounds(n: int, k: int) -> List[BoundEntry]:
-    """The four closed-form MDS stopping-redundancy bounds for an (n, k)."""
+    """Closed-form stopping-redundancy bounds for an (n, k) MDS code.
+
+    In order: the counting lower bound, the all-subsets upper bound, the
+    Steiner-refined lower bound (d >= 3), the constant-weight upper bound,
+    the Schönheim lower bound, and the de Caen lower bound (d >= 3).
+    """
     d = _mds_dims(n, k)
     d_perp = k + 1
     block = comb(n, d - 2)
@@ -121,6 +131,14 @@ def mds_bounds(n: int, k: int) -> List[BoundEntry]:
     entries.append(BoundEntry(
         "mds_constant_weight_upper", "upper", raw.numerator // raw.denominator,
         raw, "subset construction pruned by constant-weight classes"))
+    entries.append(BoundEntry(
+        "schonheim_lower", "lower", schonheim_lower(n, k), None,
+        "recursive covering-number bound"))
+    if d >= 3:
+        raw = decaen_lower(n, k)
+        entries.append(BoundEntry(
+            "decaen_lower", "lower", -(-raw.numerator // raw.denominator),
+            raw, "covering-number bound of de Caen type"))
     return entries
 
 
@@ -174,14 +192,6 @@ def bounds_report(c: LinearCode) -> BoundsReport:
             "combinations of up to d-2 independent checks"))
     if d == n - k + 1 and 1 <= k < n:
         entries.extend(mds_bounds(n, k))
-        entries.append(BoundEntry(
-            "schonheim_lower", "lower", schonheim_lower(n, k), None,
-            "recursive covering-number bound"))
-        if d >= 3:
-            raw = decaen_lower(n, k)
-            entries.append(BoundEntry(
-                "decaen_lower", "lower", -(-raw.numerator // raw.denominator),
-                raw, "covering-number bound of de Caen type"))
     if q == 2:
         rm = _recognize_rm(n, k, d)
         if rm is not None:

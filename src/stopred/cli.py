@@ -168,27 +168,13 @@ def read_matrix(path: str) -> Matrix:
         return parse_matrix_text(fh.read())
 
 
-def _input_matrix(args, attr_file: str = "file",
-                  attr_asset: str = "assets") -> Matrix:
-    path = getattr(args, attr_file, None)
-    asset = getattr(args, attr_asset, None)
+def _input_matrix(args) -> Matrix:
+    path, asset = args.file, args.assets
     if (path is None) == (asset is None):
         raise ValueError("exactly one of --file or --assets is required")
     if asset is not None:
         return load_asset(asset)
     return read_matrix(path)
-
-
-def _emit(args, text_value: str, rows=None, json_obj=None) -> None:
-    if args.format == "text":
-        print(text_value)
-    elif args.format == "csv":
-        if rows is None:
-            print(text_value)
-        else:
-            print("\n".join(",".join(str(x) for x in r) for r in rows))
-    else:
-        print(json.dumps(json_obj if json_obj is not None else text_value))
 
 
 def _cmd_sd(args) -> int:
@@ -216,23 +202,10 @@ def _cmd_bounds(args) -> int:
         if not (args.mds and args.n is not None and args.k is not None):
             raise ValueError("parameter mode needs --n, --k and --mds together")
         entries = bounds_mod.mds_bounds(args.n, args.k)
-        entries.append(bounds_mod.BoundEntry(
-            "schonheim_lower", "lower",
-            bounds_mod.schonheim_lower(args.n, args.k), None,
-            "recursive covering-number bound"))
-        if args.n - args.k + 1 >= 3:
-            raw = bounds_mod.decaen_lower(args.n, args.k)
-            entries.append(bounds_mod.BoundEntry(
-                "decaen_lower", "lower", -(-raw.numerator // raw.denominator),
-                raw, "covering-number bound of de Caen type"))
-        lows = [e.value for e in entries if e.kind == "lower"]
-        ups = [e.value for e in entries if e.kind == "upper"]
-        combined = (max(lows) if lows else None, min(ups) if ups else None)
     else:
-        report = bounds_mod.bounds_report(
-            LinearCode.from_parity_check(_input_matrix(args)))
-        entries = report.entries
-        combined = (report.combined_lower, report.combined_upper)
+        entries = bounds_mod.bounds_report(
+            LinearCode.from_parity_check(_input_matrix(args))).entries
+    combined = bounds_mod.bracket(entries)
     if args.format == "json":
         print(json.dumps({
             "entries": [{"name": e.name, "kind": e.kind, "value": e.value,

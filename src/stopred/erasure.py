@@ -258,9 +258,7 @@ def _psi_ml_by_weight(c: LinearCode,
     h = c.parity_check
     r = h.n_rows
     if c.field.q == 2 and r <= 32:
-        col_bits = [int(x) for x in
-                    (h.data.T.astype(np.uint64) << np.arange(r, dtype=np.uint64)
-                     ).sum(axis=1)] if r else [0] * n
+        col_bits = Matrix(c.field, h.data.T).row_masks()
 
         def count_level(level: np.ndarray) -> int:
             return int(np.count_nonzero(_ml_fail_batch_gf2(col_bits, level, r)))

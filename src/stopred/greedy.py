@@ -19,6 +19,7 @@ from typing import List
 import numpy as np
 
 from ._bits import mask_dtype, popcount, weight_masks
+from .construct import full_dual_pcm
 from .linalg import LinearCode, Matrix, dual_codewords, rank
 from .stopping import stopping_distance
 
@@ -35,16 +36,6 @@ class RedundancyResult:
     exact: bool
 
 
-def _candidate_masks(words: np.ndarray, n: int) -> List[int]:
-    out = []
-    for row in words:
-        m = 0
-        for j in np.nonzero(row)[0]:
-            m |= 1 << int(j)
-        out.append(m)
-    return out
-
-
 def greedy_construct(c: LinearCode, weighted: bool = True) -> Matrix:
     """Greedy coverage construction; returns a matrix with s = d(C).
 
@@ -56,7 +47,7 @@ def greedy_construct(c: LinearCode, weighted: bool = True) -> Matrix:
     if sum(comb(n, i) for i in range(1, d)) > UNIVERSE_GUARD:
         raise ValueError("tracked i-set universe exceeds the 2^24 guard")
     words = dual_codewords(c, include_zero=False)
-    masks = _candidate_masks(words, n)
+    masks = Matrix(c.field, words).row_masks()
     dt = mask_dtype(n)
     cand = [dt.type(m) for m in masks]
     cand_weight = [m.bit_count() for m in masks]
@@ -122,46 +113,6 @@ def greedy_construct(c: LinearCode, weighted: bool = True) -> Matrix:
     return out
 
 
-def _projective_reps(c: LinearCode) -> np.ndarray:
-    words = dual_codewords(c, include_zero=False)
-    if c.field.q == 2:
-        return words
-    keep = []
-    for row in words:
-        if int(row[np.nonzero(row)[0][0]]) == 1:
-            keep.append(row)
-    return np.array(keep, dtype=np.uint8)
-
-
-class _FieldBasis:
-    """Incremental row basis over GF(q) for rank-feasibility pruning."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows: List[np.ndarray] = []
-
-    def try_add(self, vec: np.ndarray) -> bool:
-        v = vec.astype(np.int64)
-        for b in self.rows:
-            pivot = int(np.nonzero(b)[0][0])
-            if v[pivot]:
-                coef = self.field.mul(int(v[pivot]), self.field.inv(int(b[pivot])))
-                v = self.field.sub_arr(v, self.field.scale_arr(coef, b))
-        if not np.any(v):
-            return False
-        self.rows.append(v)
-        self.rows.sort(key=lambda r: int(np.nonzero(r)[0][0]))
-        return True
-
-    def clone(self) -> "_FieldBasis":
-        nb = _FieldBasis(self.field)
-        nb.rows = list(self.rows)
-        return nb
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
 def exact_stopping_redundancy(c: LinearCode,
                               budget: int = 2_000_000) -> RedundancyResult:
     """Minimum rows of any parity-check matrix for c with s = d(C).
@@ -173,11 +124,12 @@ def exact_stopping_redundancy(c: LinearCode,
     """
     d = c.min_distance()
     n, k = c.n, c.k
-    reps = _projective_reps(c)
-    if len(reps) > CLASS_GUARD:
-        raise ValueError(f"{len(reps)} projective dual classes exceed the "
+    classes = full_dual_pcm(c)
+    if classes.n_rows > CLASS_GUARD:
+        raise ValueError(f"{classes.n_rows} projective dual classes exceed the "
                          f"{CLASS_GUARD} search guard")
-    masks = _candidate_masks(reps, n)
+    reps = classes.data
+    masks = classes.row_masks()
 
     sets: List[int] = []
     for i in range(1, d):
@@ -201,11 +153,12 @@ def exact_stopping_redundancy(c: LinearCode,
 
     n_cand = len(reps)
 
-    def dfs(uncovered: int, count: int, banned: int, basis: _FieldBasis) -> None:
+    def dfs(uncovered: int, banned: int, chosen: List[int]) -> None:
         if aborted[0]:
             return
+        count = len(chosen)
         if uncovered == 0:
-            value = count + max(0, (n - k) - len(basis))
+            value = count + max(0, (n - k) - rank(Matrix(c.field, reps[chosen])))
             if value < best[0]:
                 best[0] = value
             return
@@ -225,7 +178,8 @@ def exact_stopping_redundancy(c: LinearCode,
                 max_cover = got
         if max_cover == 0:
             return
-        lb = max(-(-uncovered.bit_count() // max_cover), (n - k) - len(basis))
+        lb = max(-(-uncovered.bit_count() // max_cover),
+                 (n - k) - rank(Matrix(c.field, reps[chosen])))
         if lb > allowance:
             return
         # branch on the uncovered set with the fewest available coverers
@@ -242,12 +196,10 @@ def exact_stopping_redundancy(c: LinearCode,
                     break
         ban = banned
         for ci in target_cands:
-            nb = basis.clone()
-            nb.try_add(reps[ci])
-            dfs(uncovered & ~cover[ci], count + 1, ban, nb)
+            dfs(uncovered & ~cover[ci], ban, chosen + [ci])
             ban |= 1 << ci
             if aborted[0]:
                 return
 
-    dfs(full, 0, 0, _FieldBasis(c.field))
+    dfs(full, 0, [])
     return RedundancyResult(best[0], exact=not aborted[0])

@@ -29,13 +29,20 @@ class Matrix:
     __slots__ = ("field", "data")
 
     def __init__(self, field: FieldSpec, rows):
-        data = np.array(rows, dtype=np.uint8)
-        if data.ndim != 2:
+        raw = np.asarray(rows)
+        if raw.ndim != 2:
             raise ValueError("matrix data must be two-dimensional")
-        if data.size and data.max() >= field.q:
-            raise ValueError(f"entry out of range for GF({field.q})")
+        q = field.q
+        if raw.size:
+            if raw.dtype.kind not in "biu":
+                raise ValueError(f"GF({q}) entries must be integers, "
+                                 f"got {raw.dtype} entry {raw.flat[0]}")
+            if raw.dtype.kind == "i" and raw.min() < 0:
+                raise ValueError(f"entry {raw.min()} out of range for GF({q})")
+            if raw.max() >= q:
+                raise ValueError(f"entry {raw.max()} out of range for GF({q})")
         self.field = field
-        self.data = data
+        self.data = raw.astype(np.uint8)
 
     @property
     def n_rows(self) -> int:
@@ -106,7 +113,7 @@ def _rank_generic(field: FieldSpec, data: np.ndarray) -> int:
     return len(_rref(field, data)[1])
 
 
-def _rank_packed_gf2(rows: List[int], n_cols: int) -> int:
+def _rank_packed_gf2(rows: List[int]) -> int:
     """Rank over GF(2) with rows packed as ints (bit j = column j)."""
     basis: List[int] = []
     rank = 0
@@ -123,7 +130,7 @@ def _rank_packed_gf2(rows: List[int], n_cols: int) -> int:
 def rank(m: Matrix) -> int:
     """Row rank over the field; the input is not modified."""
     if m.field.q == 2:
-        return _rank_packed_gf2(m.row_masks(), m.n_cols)
+        return _rank_packed_gf2(m.row_masks())
     return _rank_generic(m.field, m.data)
 
 

@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from stopred.cli import load_asset
+from stopred.construct import rm_generator
 from stopred.field import make_field
 from stopred.greedy import exact_stopping_redundancy, greedy_construct
 from stopred.linalg import LinearCode, Matrix, rank
@@ -66,6 +69,22 @@ def test_exact_spc():
     spc = LinearCode.from_parity_check(Matrix(make_field(2), [[1] * 5]))
     result = exact_stopping_redundancy(spc)
     assert result.exact and result.value == 1
+
+
+def ternary_hamming13_checks():
+    """One column per point of PG(2,3), leading nonzero coordinate 1."""
+    points = [v for v in product(range(3), repeat=3)
+              if any(v) and next(x for x in v if x) == 1]
+    return Matrix(make_field(3), np.array(points, dtype=np.uint8).T)
+
+
+@pytest.mark.parametrize("checks, rho", [
+    (lambda: rm_generator(1, 4), 7),  # [16,11,4] extended Hamming
+    (ternary_hamming13_checks, 6),    # [13,10,3] ternary Hamming
+], ids=["eh16", "th13"])
+def test_exact_hamming_codes(checks, rho):
+    result = exact_stopping_redundancy(LinearCode.from_parity_check(checks()))
+    assert result.exact and result.value == rho
 
 
 def test_exact_budget_exhaustion(hexacode):

@@ -173,3 +173,13 @@ def test_enumeration_guard(gf2):
 def test_matrix_entry_validation(gf2):
     with pytest.raises(ValueError):
         Matrix(gf2, [[0, 2]])
+
+
+# a bare uint8 cast would wrap 256 to 0, truncate 1.7 to 1 and overflow on -1
+@pytest.mark.parametrize("rows, shown", [(np.array([[256, 1]]), "256"),
+                                         (np.array([[1.7, 1]]), "1.7"),
+                                         ([[-1, 1]], "-1")],
+                         ids=["wraps", "truncates", "overflows"])
+def test_matrix_rejects_entries_the_cast_would_change(rows, shown):
+    with pytest.raises(ValueError, match=rf"GF\(3\).*{shown}|{shown}.*GF\(3\)"):
+        Matrix(make_field(3), rows)

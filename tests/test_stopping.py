@@ -1,15 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_parity_check
 from reference import ref_stopping_distance
 from stopred.cli import load_asset
 from stopred.field import make_field
 from stopred.linalg import LinearCode, Matrix
-from stopred.stopping import (StoppingReport, _bnb_min_stopping, covers,
-                              is_stopping_set, stopping_distance,
-                              verify_full_stopping)
-from stopred._bits import mask_to_positions
+from stopred import stopping
+from stopred.stopping import (StoppingReport, covers, is_stopping_set,
+                              stopping_distance, verify_full_stopping)
 
 
 def test_is_stopping_set_basics(gf2):
@@ -95,20 +98,29 @@ def test_matches_subset_oracle_small():
             assert report.witness == want_witness
 
 
-def test_bnb_agrees_with_scan():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(4, 12))
-        m = int(rng.integers(2, 8))
-        mat = random_parity_check(rng, 2, n, m)
-        masks = [r for r in mat.row_masks() if r]
-        scan = stopping_distance(mat)
-        bnb = _bnb_min_stopping(masks, n, n)
-        if bnb is None:
-            assert scan.s == n + 1
-        else:
-            assert bnb[0] == scan.s
-            assert is_stopping_set(mat, mask_to_positions(bnb[1]))
+@st.composite
+def capped_matrices(draw):
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 11))
+    m = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    cap = draw(st.none() | st.integers(1, n + 1))
+    return Matrix(make_field(q), np.array(rows, dtype=np.uint8).reshape(m, n)), cap
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_matrices())
+def test_bnb_agrees_with_scan(case):
+    h, cap = case
+    scan = stopping_distance(h, cap)
+    with mock.patch.object(stopping, "SCAN_BUDGET", 0):  # forces branch-and-bound
+        bnb = stopping_distance(h, cap)
+    assert (bnb.s, bnb.at_least) == (scan.s, scan.at_least)
+    for report in (scan, bnb):
+        if report.witness is not None:
+            assert len(report.witness) == report.s
+            assert is_stopping_set(h, report.witness)
 
 
 def test_s_at_most_d_random_codes():
