@@ -1,0 +1,162 @@
+"""Per-layer timings of stopred on fixed inputs, written to BENCH_<tag>.json.
+
+    python3 benchmarks/layers.py --tag T --src PATH
+
+PATH is the `src` directory of the checkout to time; the same script times
+any commit, so two files from one machine compare two commits layer by
+layer.  Each layer runs on fixed, seeded inputs; its time is the best of
+REPEATS runs, and its answer is stored next to the time so that two files
+can be checked to have computed the same thing.  Only public calls (plus
+`Matrix.row_masks`) are timed, so the script runs on older commits too.
+The JSON file goes next to this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+
+REPEATS = 5
+DECODE_PATTERNS = 4000
+DECODE_ASSETS = ("h24", "hp24", "h12", "hp12")
+
+
+def best_of(fn):
+    """(best wall time in seconds over REPEATS runs, the last answer)."""
+    best, answer = float("inf"), None
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        answer = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, answer
+
+
+def decode_patterns(n: int, seed: int) -> list:
+    """Seeded patterns with a weight drawn uniformly from 0..n."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            for _ in range(DECODE_PATTERNS)]
+
+
+def layers() -> dict:
+    """name -> (zero-argument call, calls per run, answer -> JSON value)."""
+    import stopred
+    from stopred import cli, construct, field
+    from stopred.linalg import LinearCode, Matrix
+
+    def code_of(h):
+        return LinearCode.from_parity_check(h)
+
+    points = [v for v in product(range(3), repeat=3)
+              if any(v) and next(x for x in v if x) == 1]
+    hp24 = cli.load_asset("hp24")
+    h24 = cli.load_asset("h24")
+    rm26 = construct.rm_generator(2, 6)
+    out = {
+        "row_masks hp24": (hp24.row_masks, 1, lambda m: sum(m) % 1_000_003),
+    }
+    for i, name in enumerate(DECODE_ASSETS):
+        h = cli.load_asset(name)
+        pats = decode_patterns(h.n_cols, seed=i)
+        out[f"iterative_decode {name}"] = (
+            lambda h=h, pats=pats: [stopred.iterative_decode(h, p).success
+                                    for p in pats],
+            len(pats), sum)
+        out[f"ml_decode {name}"] = (
+            lambda h=h, pats=pats: [stopred.ml_decode(h, p) for p in pats],
+            len(pats), sum)
+    out.update({
+        "psi_stop rm25 w_max=7": (
+            lambda: stopred.psi_stop(construct.rm_generator(2, 5), w_max=7),
+            1, lambda p: p.counts),
+        "psi_ml rm15-checks": (
+            lambda: stopred.psi_ml(code_of(construct.rm_generator(1, 5))),
+            1, lambda p: p.counts),
+        "stopping_distance h24": (
+            lambda: stopred.stopping_distance(h24), 1, lambda r: r.s),
+        "stopping_distance rm26 cap=8": (
+            lambda: stopred.stopping_distance(rm26, cap=8), 1, lambda r: r.s),
+        "greedy_construct golay24": (
+            lambda: stopred.greedy_construct(code_of(h24)), 1,
+            lambda m: m.n_rows),
+        "exact_stopping_redundancy eh16": (
+            lambda: stopred.exact_stopping_redundancy(
+                code_of(construct.rm_generator(1, 4))),
+            1, lambda r: [r.value, r.exact]),
+        "exact_stopping_redundancy th13": (
+            lambda: stopred.exact_stopping_redundancy(code_of(Matrix(
+                field.make_field(3), np.array(points, dtype=np.uint8).T))),
+            1, lambda r: [r.value, r.exact]),
+        "nullspace rm26": (lambda: stopred.nullspace(rm26), 1,
+                           lambda m: m.n_rows),
+        "nullspace hp24": (lambda: stopred.nullspace(hp24), 1,
+                           lambda m: m.n_rows),
+    })
+    return out
+
+
+def git_state(path: Path) -> dict:
+    def git(*args):
+        return subprocess.run(["git", "-C", str(path), *args],
+                              capture_output=True, text=True, check=True
+                              ).stdout.strip()
+    try:
+        return {"git_commit": git("rev-parse", "HEAD"),
+                "git_dirty": bool(git("status", "--porcelain", "--", "."))}
+    except (OSError, subprocess.CalledProcessError):
+        return {"git_commit": None, "git_dirty": None}
+
+
+def cpu_name() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--tag", required=True)
+    parser.add_argument("--src", required=True,
+                        help="the src directory of the checkout to time")
+    args = parser.parse_args(argv)
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    import stopred
+    if Path(stopred.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"stopred imported from {stopred.__file__}, "
+                         f"not from {src}")
+    results = {}
+    for name, (fn, calls, answer_of) in layers().items():
+        best, answer = best_of(fn)
+        results[name] = {"best_s": best, "calls": calls,
+                         "per_call_us": best / calls * 1e6,
+                         "answer": answer_of(answer)}
+        print(f"{name:34s} {best:9.4f} s  {best / calls * 1e6:12.1f} us/call",
+              flush=True)
+    record = {"tag": args.tag, **git_state(src),
+              "nproc": len(os.sched_getaffinity(0)), "cpu": cpu_name(),
+              "python": platform.python_version(),
+              "numpy": np.__version__, "repeats": REPEATS,
+              "layers": results}
+    out = Path(__file__).resolve().parent / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -80,6 +80,18 @@ def mask_dtype(n: int) -> np.dtype:
     raise ValueError(f"bitmask engine supports at most 64 columns, got {n}")
 
 
+def pack_rows(bits: np.ndarray) -> List[int]:
+    """Each row of a 2-D truth array packed into an int (bit j = column j);
+    any width, so rows wider than 64 columns stay exact."""
+    rows, cols = bits.shape
+    if cols == 0:
+        return [0] * rows
+    width = (cols + 7) // 8
+    raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
+
+
 def positions_to_mask(positions: Iterable[int]) -> int:
     m = 0
     for p in positions:

@@ -26,10 +26,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import (LATTICE_CHUNK, count_by_popcount, popcount, up_close,
-                    weight_masks)
+from ._bits import (LATTICE_CHUNK, count_by_popcount, mask_to_positions,
+                    popcount, positions_to_mask, up_close, weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _enumerate_combinations, _rank_generic, rank)
+                     _enumerate_combinations, rank)
 
 WEIGHT_GUARD = 1 << 25
 LATTICE_MAX_N = 26  # a complete table needs one byte per subset: 64 MiB
@@ -68,6 +68,9 @@ class PsiProfile:
                 raise ValueError(f"count {value} out of range at weight {w}")
 
     def to_csv(self) -> str:
+        if self.counts[self.n] is None:
+            raise ValueError(f"weight {self.n} = n is not enumerated; a CSV "
+                             f"without it would read back as a shorter code")
         lines = ["w,count"]
         for w, value in enumerate(self.counts):
             if value is not None:
@@ -102,17 +105,9 @@ def iterative_decode(h: Matrix, erased) -> PeelOutcome:
     stopping set inside the pattern (empty iff decoding succeeds).
     """
     pattern = _pattern_set(erased, h.n_cols)
-    remaining = set(pattern)
-    supports = [set(np.nonzero(row)[0].tolist()) for row in h.data]
-    progress = True
-    while progress and remaining:
-        progress = False
-        for sup in supports:
-            hit = sup & remaining
-            if len(hit) == 1:
-                remaining -= hit
-                progress = True
-    return PeelOutcome(frozenset(pattern - remaining), frozenset(remaining))
+    stuck = frozenset(mask_to_positions(
+        _peel_residues(h.row_masks(), positions_to_mask(pattern))))
+    return PeelOutcome(pattern - stuck, stuck)
 
 
 def ml_decode(h: Matrix, erased) -> bool:
@@ -124,19 +119,16 @@ def ml_decode(h: Matrix, erased) -> bool:
     return rank(sub) == len(pattern)
 
 
-def _peel_residues(row_masks: Sequence[int], patterns: np.ndarray,
-                   n: int) -> np.ndarray:
-    """Vectorized peeling fixpoint for a batch of pattern masks."""
-    dt = patterns.dtype
-    one = dt.type(1)
-    rows = [dt.type(r) for r in row_masks if r]
-    erased = patterns.copy()
+def _peel_residues(row_masks: Sequence[int], erased):
+    """Peeling fixpoint of one pattern mask (an int) or of an array of them:
+    a check that meets the erased positions exactly once resolves that one.
+    The operators below act alike on both, so one loop serves both; x = 0
+    passes the single-bit test but then clears nothing."""
     while True:
-        before = erased.copy()
-        for r in rows:
+        before = erased
+        for r in row_masks:
             x = erased & r
-            single = (x != 0) & ((x & (x - one)) == 0)
-            erased = np.where(single, erased ^ x, erased)
+            erased = erased ^ x * (x & (x - 1) == 0)
         if np.array_equal(erased, before):
             return erased
 
@@ -249,7 +241,7 @@ def _psi_stop_by_weight(h: Matrix,
     masks = h.row_masks()
     return _count_by_weight(
         n, r, w_max,
-        lambda level: int(np.count_nonzero(_peel_residues(masks, level, n))))
+        lambda level: int(np.count_nonzero(_peel_residues(masks, level))))
 
 
 def _psi_ml_by_weight(c: LinearCode,
@@ -264,13 +256,8 @@ def _psi_ml_by_weight(c: LinearCode,
             return int(np.count_nonzero(_ml_fail_batch_gf2(col_bits, level, r)))
     else:
         def count_level(level: np.ndarray) -> int:
-            bad = 0
-            for m in level:
-                cols = [j for j in range(n) if (int(m) >> j) & 1]
-                sub = h.data[:, cols]
-                if _rank_generic(c.field, sub) < len(cols):
-                    bad += 1
-            return bad
+            return sum(not ml_decode(h, mask_to_positions(int(m)))
+                       for m in level)
     return _count_by_weight(n, r, w_max, count_level)
 
 
@@ -312,7 +299,7 @@ def psi_ml(c: LinearCode, w_max: Optional[int] = None) -> PsiProfile:
     n, k, q = c.n, c.k, c.field.q
     # a lattice subset costs 10 ns and a codeword 5 ns per symbol and
     # generator row; a GF(2) pattern 200 ns per check row, any other
-    # pattern 100 us in _rank_generic
+    # pattern 100 us in ml_decode
     lattice_ns = (10 << n) + 5 * k * n * q ** k
     pattern_ns = 200 * (n - k) if q == 2 else 100_000
     if (_on_lattice(n, w_max) and q ** k <= ENUM_GUARD

@@ -18,7 +18,8 @@ from typing import List
 
 import numpy as np
 
-from ._bits import mask_dtype, popcount, weight_masks
+from ._bits import (mask_dtype, mask_to_positions, pack_rows, popcount,
+                    weight_masks, weight_masks_upto)
 from .construct import full_dual_pcm
 from .linalg import LinearCode, Matrix, dual_codewords, rank
 from .stopping import stopping_distance
@@ -102,11 +103,15 @@ def greedy_construct(c: LinearCode, weighted: bool = True) -> Matrix:
         heapq.heappush(heap, (-score_cache[idx], idx))
         round_no += 1
 
+    # the cover need not span the dual: complete it with the code's checks
     out = Matrix(c.field, words[chosen])
     got = rank(out)
-    if got != c.n - c.k:
-        raise ValueError(
-            f"greedy cover spans rank {got}, expected {c.n - c.k}")
+    for row in c.parity_check.data:
+        if got == n - c.k:
+            break
+        wider = Matrix(c.field, np.vstack([out.data, row]))
+        if rank(wider) > got:
+            out, got = wider, got + 1
     report = stopping_distance(out, cap=d)
     if report.s != d:
         raise ValueError(f"greedy result has stopping distance {report.s} != {d}")
@@ -129,29 +134,17 @@ def exact_stopping_redundancy(c: LinearCode,
         raise ValueError(f"{classes.n_rows} projective dual classes exceed the "
                          f"{CLASS_GUARD} search guard")
     reps = classes.data
-    masks = classes.row_masks()
-
-    sets: List[int] = []
-    for i in range(1, d):
-        level = weight_masks(n, i)
-        sets.extend(int(x) for x in level)
-    n_sets = len(sets)
-    cover = []
-    for m in masks:
-        bits = 0
-        for si, s in enumerate(sets):
-            x = s & m
-            if x and (x & (x - 1)) == 0:
-                bits |= 1 << si
-        cover.append(bits)
-    full = (1 << n_sets) - 1
-
-    incumbent = greedy_construct(c).n_rows
-    best = [incumbent]
+    best = [greedy_construct(c).n_rows]
     nodes = [0]
     aborted = [False]
 
-    n_cand = len(reps)
+    # the i-sets (i = 1..d-1) by size, then ascending; cover[ci] and
+    # coverers[si] pack "candidate ci covers set si" both ways
+    sets = np.concatenate(weight_masks_upto(n, d - 1))[1:]
+    rows = np.array(classes.row_masks(), dtype=sets.dtype)
+    hits = popcount(rows[:, None] & sets[None, :]) == 1
+    cover = pack_rows(hits)
+    coverers = pack_rows(hits.T)
 
     def dfs(uncovered: int, banned: int, chosen: List[int]) -> None:
         if aborted[0]:
@@ -170,36 +163,34 @@ def exact_stopping_redundancy(c: LinearCode,
         if allowance <= 0:
             return
         max_cover = 0
-        for ci in range(n_cand):
-            if (banned >> ci) & 1:
-                continue
-            got = (cover[ci] & uncovered).bit_count()
-            if got > max_cover:
-                max_cover = got
+        for ci, bits in enumerate(cover):
+            if not (banned >> ci) & 1:
+                got = (bits & uncovered).bit_count()
+                if got > max_cover:
+                    max_cover = got
         if max_cover == 0:
             return
         lb = max(-(-uncovered.bit_count() // max_cover),
                  (n - k) - rank(Matrix(c.field, reps[chosen])))
         if lb > allowance:
             return
-        # branch on the uncovered set with the fewest available coverers
-        target = None
-        target_cands: List[int] = []
-        for si in range(n_sets):
-            if not (uncovered >> si) & 1:
-                continue
-            cands = [ci for ci in range(n_cand)
-                     if not (banned >> ci) & 1 and (cover[ci] >> si) & 1]
-            if target is None or len(cands) < len(target_cands):
-                target, target_cands = si, cands
-                if len(cands) <= 1:
+        # branch on the first uncovered set with the fewest free coverers
+        free = ~banned
+        rest, target, fewest = uncovered, 0, None
+        while rest:
+            si = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            avail = (coverers[si] & free).bit_count()
+            if fewest is None or avail < fewest:
+                target, fewest = si, avail
+                if avail <= 1:
                     break
         ban = banned
-        for ci in target_cands:
+        for ci in mask_to_positions(coverers[target] & free):
             dfs(uncovered & ~cover[ci], ban, chosen + [ci])
             ban |= 1 << ci
             if aborted[0]:
                 return
 
-    dfs(full, 0, [])
+    dfs((1 << len(sets)) - 1, 0, [])
     return RedundancyResult(best[0], exact=not aborted[0])

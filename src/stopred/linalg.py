@@ -14,6 +14,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ._bits import pack_rows
 from .field import FieldSpec
 
 ENUM_GUARD = 1 << 26
@@ -54,13 +55,7 @@ class Matrix:
 
     def row_masks(self) -> List[int]:
         """Support of each row packed into an int (bit j = column j nonzero)."""
-        out = []
-        for row in self.data:
-            m = 0
-            for j in np.nonzero(row)[0]:
-                m |= 1 << int(j)
-            out.append(m)
-        return out
+        return pack_rows(self.data != 0)
 
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.data.copy())

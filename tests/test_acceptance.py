@@ -215,13 +215,13 @@ def test_criterion_09_property_suites():
             block = rng.random((20_000, 24)) < 0.4
             pats = (block.astype(np.uint64) <<
                     np.arange(24, dtype=np.uint64)).sum(axis=1).astype(np.uint32)
-            res = _peel_residues(masks, pats, 24)
+            res = _peel_residues(masks, pats)
             failing.extend(int(x) for x in pats[res != 0])
         failing = np.array(failing[:10_000], dtype=np.uint32)
-        base = _peel_residues(masks, failing, 24)
+        base = _peel_residues(masks, failing)
         for seed in (5, 6):
             order = np.random.default_rng(seed).permutation(len(masks))
-            alt = _peel_residues([masks[i] for i in order], failing, 24)
+            alt = _peel_residues([masks[i] for i in order], failing)
             assert np.array_equal(base, alt)
 
 

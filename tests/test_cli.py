@@ -159,3 +159,22 @@ def test_asset_header_counts():
         m = parse_matrix_text(text)
         q, n = (int(x) for x in text.splitlines()[0].split())
         assert m.field.q == q and m.n_cols == n
+
+
+def test_greedy_and_rho_exact_complete_the_span(capsys, tmp_path):
+    path = tmp_path / "two_rep.mat"
+    path.write_text("2 4\n1 1 0 0\n0 0 1 1\n")
+    code, out, _ = run_cli(capsys, "greedy", "--file", str(path))
+    assert code == 0
+    m = parse_matrix_text(out)
+    assert m.n_rows == 2 and stopping_distance(m).s == 2
+    code, out, _ = run_cli(capsys, "rho-exact", "--file", str(path))
+    assert code == 0 and out == "2\n"
+
+
+def test_truncated_psi_csv_is_refused(capsys, tmp_path):
+    path = tmp_path / "t3.mat"
+    path.write_text("3 3\n1 1 0\n0 1 1\n1 0 1\n")
+    code, out, err = run_cli(capsys, "psi", "stop", "--file", str(path),
+                             "--wmax", "2", "--format", "csv")
+    assert code == 1 and out == "" and "weight 3" in err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_parity_check
 from reference import ref_codewords, ref_ml_fails, ref_peel
 from stopred import _bits, erasure
+from stopred._bits import mask_to_positions, positions_to_mask, weight_masks
 from stopred.cli import load_asset
 from stopred.erasure import (PsiProfile, _peel_residues, _psi_ml_by_weight,
                              _psi_ml_on_lattice, _psi_stop_by_weight,
@@ -47,15 +48,29 @@ def test_peel_low_weight_always_recovers_hp24():
 
 def test_peel_matches_reference():
     rng = np.random.default_rng(4)
-    for q in (2, 3):
+    for q in (2, 3, 4):
         for _ in range(20):
-            n = int(rng.integers(3, 10))
-            m = int(rng.integers(1, 6))
+            # n past 64 runs the int kernel beyond one machine word; sparse
+            # rows make peeling do real work
+            n = int(rng.integers(3, 71))
+            m = int(rng.integers(1, 2 + n // 2))
             mat = random_parity_check(rng, q, n, m)
+            mat.data[rng.random(mat.data.shape) < rng.random()] = 0
+            rows = mat.data.tolist()
             w = int(rng.integers(0, n + 1))
             pattern = tuple(int(x) for x in rng.choice(n, size=w, replace=False))
             got = iterative_decode(mat, pattern)
-            assert got.residue == frozenset(ref_peel(mat.data.tolist(), pattern))
+            assert got.residue == frozenset(ref_peel(rows, pattern))
+            assert got.recovered == frozenset(pattern) - got.residue
+            if n > 12:
+                continue
+            # the batch kernel, one weight level at a time
+            for w in range(n + 1):
+                level = weight_masks(n, w)
+                batch = _peel_residues(mat.row_masks(), level)
+                for mask, residue in zip(level, batch):
+                    want = ref_peel(rows, mask_to_positions(int(mask)))
+                    assert int(residue) == positions_to_mask(want)
 
 
 def test_ml_decode_basics(golay24):
@@ -157,14 +172,14 @@ def test_peel_residue_is_stopping_set_and_confluent():
         block = rng.random((20_000, 24)) < 0.4
         patterns = (block.astype(np.uint64) <<
                     np.arange(24, dtype=np.uint64)).sum(axis=1).astype(np.uint32)
-        residues = _peel_residues(masks, patterns, 24)
+        residues = _peel_residues(masks, patterns)
         failing.extend(int(x) for x in patterns[residues != 0])
     failing = np.array(failing[:10_000], dtype=np.uint32)
-    base = _peel_residues(masks, failing, 24)
+    base = _peel_residues(masks, failing)
     assert np.all(base != 0)
     for seed in (1, 2, 3):
         order = np.random.default_rng(seed).permutation(len(masks))
-        again = _peel_residues([masks[i] for i in order], failing, 24)
+        again = _peel_residues([masks[i] for i in order], failing)
         assert np.array_equal(base, again)
     # every residue is itself a stopping set
     for mask in base[:200]:
@@ -203,7 +218,7 @@ def test_monte_carlo_matches_curve(golay24):
     patterns = (block.astype(np.uint64) <<
                 np.arange(24, dtype=np.uint64)).sum(axis=1).astype(np.uint32)
 
-    it_rate = np.count_nonzero(_peel_residues(masks, patterns, 24)) / trials
+    it_rate = np.count_nonzero(_peel_residues(masks, patterns)) / trials
     it_true = failure_curve(psi_stop(h24), [0.3])[0][1]
     se = (it_true * (1 - it_true) / trials) ** 0.5
     assert abs(it_rate - it_true) <= 4 * se
@@ -224,6 +239,23 @@ def test_psi_csv_round_trip(golay12):
     assert text.splitlines()[0] == "w,count"
     back = PsiProfile.from_csv(text)
     assert back.counts == profile.counts
+
+
+def test_psi_csv_refuses_to_drop_weight_n():
+    # rank(H) = n = 3, so no shortcut fills weight 3 under a w_max of 2
+    h = Matrix(make_field(3), [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    truncated = psi_stop(h, w_max=2)
+    assert truncated.counts == [0, 0, 0, None]
+    with pytest.raises(ValueError, match="weight 3"):
+        truncated.to_csv()
+    full = psi_stop(h)
+    assert failure_curve(full, [0.5])[0][1] == 0.125
+    # a gap below n still reads back as a gap, which failure_curve refuses
+    gap = PsiProfile(3, "ML", [0, 0, None, 1])
+    back = PsiProfile.from_csv(gap.to_csv())
+    assert back.counts == gap.counts
+    with pytest.raises(ValueError):
+        failure_curve(back, [0.5])
 
 
 @st.composite

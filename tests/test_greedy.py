@@ -1,12 +1,16 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from reference import ref_codewords, ref_rank, ref_stopping_distance
 from stopred.cli import load_asset
 from stopred.construct import rm_generator
 from stopred.field import make_field
-from stopred.greedy import exact_stopping_redundancy, greedy_construct
+from stopred.greedy import (RedundancyResult, exact_stopping_redundancy,
+                            greedy_construct)
 from stopred.linalg import LinearCode, Matrix, rank
 from stopred.stopping import stopping_distance, verify_full_stopping
 
@@ -85,6 +89,76 @@ def ternary_hamming13_checks():
 def test_exact_hamming_codes(checks, rho):
     result = exact_stopping_redundancy(LinearCode.from_parity_check(checks()))
     assert result.exact and result.value == rho
+
+
+@pytest.mark.parametrize("checks, rho, budget", [
+    (lambda: load_asset("hexacode"), 6, 25),
+    (ternary_hamming13_checks, 6, 280),
+    (lambda: rm_generator(1, 4), 7, 13654),
+], ids=["hexacode", "th13", "eh16"])
+def test_exact_search_node_order(checks, rho, budget):
+    # the smallest budget that proves the value pins the branching order:
+    # fewest free coverers, first such set, candidates ascending
+    code = LinearCode.from_parity_check(checks())
+    assert exact_stopping_redundancy(code, budget) == \
+        RedundancyResult(rho, exact=True)
+    assert exact_stopping_redundancy(code, budget - 1) == \
+        RedundancyResult(rho, exact=False)
+
+
+def test_greedy_completes_the_span():
+    # two [2,1,2] repetition codes: the one all-ones word covers every
+    # 1-set but spans rank 1 of 2
+    code = LinearCode.from_parity_check(
+        Matrix(make_field(2), [[1, 1, 0, 0], [0, 0, 1, 1]]))
+    h = greedy_construct(code)
+    assert h.n_rows == 2 and rank(h) == 2
+    assert verify_full_stopping(code, h)
+    assert exact_stopping_redundancy(code) == RedundancyResult(2, exact=True)
+
+
+def _brute_force_redundancy(rows, q, n):
+    """Fewest projective dual classes that span the dual and reach s = d,
+    from the definitions alone."""
+    r = ref_rank(rows, q)
+    words = [x for x in product(range(q), repeat=n)
+             if not any(sum(a * b for a, b in zip(x, row)) % q for row in rows)]
+    d = min(sum(1 for v in x if v) for x in words if any(x))
+    classes = set()
+    for word in ref_codewords(rows, q):
+        if any(word):
+            lead = next(v for v in word if v)
+            classes.add(tuple(v * lead % q for v in word))  # lead^2 = 1
+    for size in range(len(classes) + 1):
+        for pick in combinations(sorted(classes), size):
+            if (ref_rank(pick, q) == r
+                    and ref_stopping_distance(pick, n)[0] == d):
+                return size
+    raise AssertionError("the full dual reaches s = d")
+
+
+@st.composite
+def tiny_codes(draw):
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    return q, n, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_codes())
+def test_greedy_and_exact_match_brute_force(case):
+    q, n, rows = case
+    code = LinearCode.from_parity_check(Matrix(make_field(q), rows))
+    r = n - code.k
+    assume(1 <= r < n and (q ** r - 1) // (q - 1) <= 10)
+    h = greedy_construct(code)
+    assert rank(h) == r
+    assert verify_full_stopping(code, h)
+    assert exact_stopping_redundancy(code) == \
+        RedundancyResult(_brute_force_redundancy(rows, q, n), exact=True)
 
 
 def test_exact_budget_exhaustion(hexacode):

@@ -183,3 +183,12 @@ def test_matrix_entry_validation(gf2):
 def test_matrix_rejects_entries_the_cast_would_change(rows, shown):
     with pytest.raises(ValueError, match=rf"GF\(3\).*{shown}|{shown}.*GF\(3\)"):
         Matrix(make_field(3), rows)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 130])
+def test_row_masks_match_per_entry_packing(rows, width):
+    rng = np.random.default_rng(width * 8 + rows)
+    data = rng.integers(0, 4, size=(rows, width)).astype(np.uint8)
+    want = [sum(1 << j for j in range(width) if row[j]) for row in data]
+    assert Matrix(make_field(4), data).row_masks() == want
