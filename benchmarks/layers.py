@@ -61,6 +61,8 @@ def layers() -> dict:
     hp24 = cli.load_asset("hp24")
     h24 = cli.load_asset("h24")
     rm26 = construct.rm_generator(2, 6)
+    hstar = construct.full_dual_pcm(code_of(h24))  # all 4095 dual words
+    thm4 = construct.combination_pcm(h24, 6)  # 2509 rows
     out = {
         "row_masks hp24": (hp24.row_masks, 1, lambda m: sum(m) % 1_000_003),
     }
@@ -83,6 +85,12 @@ def layers() -> dict:
             1, lambda p: p.counts),
         "stopping_distance h24": (
             lambda: stopred.stopping_distance(h24), 1, lambda r: r.s),
+        "stopping_distance hstar-h24 cap=8": (
+            lambda: stopred.stopping_distance(hstar, cap=8), 1,
+            lambda r: [r.s, r.at_least]),
+        "stopping_distance thm4-h24 cap=8": (
+            lambda: stopred.stopping_distance(thm4, cap=8), 1,
+            lambda r: [r.s, r.at_least]),
         "stopping_distance rm26 cap=8": (
             lambda: stopred.stopping_distance(rm26, cap=8), 1, lambda r: r.s),
         "greedy_construct golay24": (

@@ -82,14 +82,20 @@ def mask_dtype(n: int) -> np.dtype:
 
 def pack_rows(bits: np.ndarray) -> List[int]:
     """Each row of a 2-D truth array packed into an int (bit j = column j);
-    any width, so rows wider than 64 columns stay exact."""
+    any width, so rows wider than 64 columns stay exact.
+
+    Rows are padded to whole 64-bit words and read as little-endian words,
+    most significant word first, so one word needs no Python arithmetic.
+    """
     rows, cols = bits.shape
-    if cols == 0:
-        return [0] * rows
-    width = (cols + 7) // 8
-    raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(raw[i:i + width], "little")
-            for i in range(0, len(raw), width)]
+    words = max(-(-cols // 64), 1)
+    padded = np.zeros((rows, 64 * words), dtype=bool)
+    padded[:, :cols] = bits
+    lanes = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    out = lanes[:, -1].tolist()
+    for w in range(words - 2, -1, -1):
+        out = [(hi << 64) | lo for hi, lo in zip(out, lanes[:, w].tolist())]
+    return out
 
 
 def positions_to_mask(positions: Iterable[int]) -> int:

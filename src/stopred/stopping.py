@@ -7,8 +7,13 @@ Only row supports matter, so both search engines below work on bitmasks.
 stopping_distance uses an increasing-size lexicographic subset scan while
 the total subset count fits the scan budget, and otherwise a complete
 branch-and-bound search (violated-row branching with unit propagation and
-a disjoint-support lower bound).  The scan is O(sum_i C(n,i) * rows); the
-branch-and-bound is output-sensitive but exponential in the worst case.
+a disjoint-support lower bound).  The scan passes each level through the
+rows in blocks of _CHUNK subsets; every row keeps only the subsets it does
+not cover, so a row costs as many tests as there are subsets still alive
+when it is reached, and a block stops at the first row that leaves none.
+Besides the level and its survivors, a block needs one block of scratch
+memory.  The branch-and-bound is output-sensitive but exponential in the
+worst case.
 """
 
 from __future__ import annotations
@@ -86,14 +91,13 @@ def _scan_level(row_masks: List[int], n: int, size: int) -> Optional[int]:
     rows = [dt.type(r) for r in row_masks]
     found: List[np.ndarray] = []
     for start in range(0, len(level), _CHUNK):
-        block = level[start:start + _CHUNK]
-        covered = np.zeros(len(block), dtype=bool)
+        alive = level[start:start + _CHUNK]
         for r in rows:
-            x = block & r
-            covered |= popcount(x) == 1
-        hits = block[~covered]
-        if hits.size:
-            found.append(hits)
+            alive = alive[popcount(alive & r) != 1]
+            if not alive.size:
+                break
+        if alive.size:
+            found.append(alive)
     if not found:
         return None
     return _lex_first_mask(np.concatenate(found), n)

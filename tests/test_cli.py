@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stopred.cli import (ASSET_TEXT, load_asset, main, parse_matrix_text,
                          render_matrix_text)
-from stopred.field import make_field
+from stopred.field import MAX_ORDER, make_field
 from stopred.linalg import Matrix
 from stopred.stopping import stopping_distance
 
@@ -93,13 +95,27 @@ def test_assets_round_trip(capsys):
         assert stopping_distance(again).s == want_s
 
 
-def test_matrix_text_round_trip():
-    rng = np.random.default_rng(3)
-    for q in (2, 3, 4, 5):
-        f = make_field(q)
-        data = rng.integers(0, q, size=(4, 7)).astype(np.uint8)
-        m = Matrix(f, data)
-        assert parse_matrix_text(render_matrix_text(m)) == m
+SUPPORTED_ORDERS = [4] + [p for p in range(2, MAX_ORDER + 1)
+                          if all(p % f for f in range(2, p))]
+
+
+@st.composite
+def text_matrices(draw):
+    q = draw(st.sampled_from(SUPPORTED_ORDERS))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    return Matrix(make_field(q), np.array(rows, dtype=np.uint8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_matrices())
+@example(Matrix(make_field(4), [[3]]))
+@example(Matrix(make_field(3), [[2, 0, 1, 2]]))
+@example(Matrix(make_field(251), [[250], [0], [17]]))
+def test_matrix_text_round_trip(m):
+    assert parse_matrix_text(render_matrix_text(m)) == m
 
 
 def test_ternary_dash_normalization():

@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stopred.cli import load_asset
 from stopred.field import make_field
@@ -13,6 +15,7 @@ from stopred.construct import (NotMDSError, colex_combinations,
                                mds_pcm, pruned_mds_pcm, rm_generator,
                                rm_stopping_pcm, uu_pcm,
                                weight_one_combination_depth)
+from stopred.greedy import greedy_construct
 from stopred.stopping import is_stopping_set, stopping_distance, verify_full_stopping
 
 
@@ -351,3 +354,40 @@ def test_rm_parameter_formulas():
             assert code.n == 1 << m
             assert code.k == sum(comb(m, i) for i in range(r + 1))
             assert code.min_distance() == 1 << (m - r)
+
+
+@st.composite
+def small_codes(draw):
+    """Generalised Reed-Solomon codes (MDS) or random codes, with at most
+    4096 dual words so that greedy_construct stays quick."""
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([2, 3, 5, 7]))
+        n = draw(st.integers(2, min(q, 7)))
+        r_max = max(r for r in range(1, n) if q ** r <= 4096)
+        k = draw(st.integers(n - r_max, n - 1))
+        points = draw(st.permutations(range(q)))[:n]
+        scale = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+        rows = [[v * pow(x, i, q) % q for x, v in zip(points, scale)]
+                for i in range(k)]
+        return LinearCode.from_generator(Matrix(make_field(q), rows))
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    code = LinearCode.from_parity_check(Matrix(make_field(q), rows))
+    assume(0 < code.k < n)
+    return code
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes())
+def test_constructions_verify_full_stopping(code):
+    d = code.min_distance()
+    builds = [greedy_construct]
+    if d == code.n - code.k + 1:
+        builds.append(mds_pcm)
+        if d >= 3:
+            builds.append(pruned_mds_pcm)
+    for build in builds:
+        assert verify_full_stopping(code, build(code)), build.__name__

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_parity_check
 from reference import ref_stopping_distance
 from stopred.cli import load_asset
+from stopred.construct import full_dual_pcm
 from stopred.field import make_field
 from stopred.linalg import LinearCode, Matrix
 from stopred import stopping
@@ -84,18 +85,36 @@ def test_cap_semantics():
     assert report.s == 4 and not report.at_least
 
 
-def test_matches_subset_oracle_small():
-    rng = np.random.default_rng(3)
-    for q in (2, 3, 4):
-        for _ in range(15):
-            n = int(rng.integers(2, 8))
-            m = int(rng.integers(1, 6))
-            mat = random_parity_check(rng, q, n, m)
-            want_s, want_witness = ref_stopping_distance(mat.data.tolist(), n)
-            report = stopping_distance(mat)
-            assert report.s == want_s
-            # the scan reports the lexicographically first smallest witness
-            assert report.witness == want_witness
+@st.composite
+def oracle_cases(draw):
+    """Small matrices, half of them row-heavy (every projective class of a
+    random row space), with an optional cap."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    h = Matrix(make_field(q), np.array(rows, dtype=np.uint8))
+    if draw(st.booleans()) and np.any(h.data):
+        h = full_dual_pcm(LinearCode.from_parity_check(h))
+    cap = draw(st.none() | st.integers(1, n + 1))
+    return h, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_cases())
+def test_matches_subset_oracle_small(case):
+    h, cap = case
+    n = h.n_cols
+    want_s, want_witness = ref_stopping_distance(h.data.tolist(), n)
+    if cap is not None and cap <= n and want_s >= cap:
+        want = StoppingReport(cap, None, at_least=True)
+    else:
+        # the scan reports the lexicographically first smallest witness
+        want = StoppingReport(want_s, want_witness)
+    for chunk in (1, 8, stopping._CHUNK):  # one subset, a few, one block
+        with mock.patch.object(stopping, "_CHUNK", chunk):
+            assert stopping_distance(h, cap) == want
 
 
 @st.composite
