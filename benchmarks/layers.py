@@ -9,6 +9,11 @@ REPEATS runs, and its answer is stored next to the time so that two files
 can be checked to have computed the same thing.  Only public calls (plus
 `Matrix.row_masks`) are timed, so the script runs on older commits too.
 The JSON file goes next to this script.
+
+Raw seconds drift with the speed the machine gives the run, so the
+script also times perfbench's stopred-free reference kernel before each
+layer and after the last, stores the median as `ref_s`, and gives each
+layer's best time over it as `best_ref`; two files compare by that ratio.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -24,6 +30,9 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import reference_seconds  # noqa: E402  (perfbench's, read only)
 
 REPEATS = 5
 DECODE_PATTERNS = 4000
@@ -61,6 +70,11 @@ def layers() -> dict:
     hp24 = cli.load_asset("hp24")
     h24 = cli.load_asset("h24")
     rm26 = construct.rm_generator(2, 6)
+    # the RM(2,6) stopping rows that perfbench's `sd --cap 8 rm26` times,
+    # under a seeded column permutation as there
+    rm26_checks = construct.rm_stopping_pcm(2, 6)
+    rm26_checks = Matrix(rm26_checks.field, rm26_checks.data[
+        :, np.random.default_rng(0).permutation(rm26_checks.n_cols)])
     hstar = construct.full_dual_pcm(code_of(h24))  # all 4095 dual words
     thm4 = construct.combination_pcm(h24, 6)  # 2509 rows
     out = {
@@ -93,6 +107,9 @@ def layers() -> dict:
             lambda r: [r.s, r.at_least]),
         "stopping_distance rm26 cap=8": (
             lambda: stopred.stopping_distance(rm26, cap=8), 1, lambda r: r.s),
+        "stopping_distance rm26-checks cap=8": (
+            lambda: stopred.stopping_distance(rm26_checks, cap=8), 1,
+            lambda r: [r.s, r.at_least]),
         "greedy_construct golay24": (
             lambda: stopred.greedy_construct(code_of(h24)), 1,
             lambda m: m.n_rows),
@@ -147,19 +164,25 @@ def main(argv=None) -> int:
     if Path(stopred.__file__).resolve().parent.parent != src:
         raise SystemExit(f"stopred imported from {stopred.__file__}, "
                          f"not from {src}")
-    results = {}
+    results, refs = {}, []
     for name, (fn, calls, answer_of) in layers().items():
+        refs.append(reference_seconds())
         best, answer = best_of(fn)
         results[name] = {"best_s": best, "calls": calls,
                          "per_call_us": best / calls * 1e6,
                          "answer": answer_of(answer)}
-        print(f"{name:34s} {best:9.4f} s  {best / calls * 1e6:12.1f} us/call",
+        print(f"{name:36s} {best:9.4f} s  {best / calls * 1e6:12.1f} us/call",
               flush=True)
+    refs.append(reference_seconds())
+    ref = statistics.median(refs)
+    for entry in results.values():
+        entry["best_ref"] = entry["best_s"] / ref
+    print(f"ref_s {ref:.4f} (median of {len(refs)})")
     record = {"tag": args.tag, **git_state(src),
               "nproc": len(os.sched_getaffinity(0)), "cpu": cpu_name(),
               "python": platform.python_version(),
               "numpy": np.__version__, "repeats": REPEATS,
-              "layers": results}
+              "ref_s": ref, "ref_samples": refs, "layers": results}
     out = Path(__file__).resolve().parent / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")

@@ -3,6 +3,7 @@
 Column subsets of a matrix with up to 64 columns are packed into unsigned
 integers (bit i = column i).  Numeric order of the masks equals
 colexicographic order of the subsets, which the generators below rely on.
+Subsets of any width are rows of little-endian uint64 words (`pack_words`).
 
 A subset lattice is a `bool` array of length 2^n indexed by such masks.
 `up_close` closes it upwards in place and `count_by_popcount` counts it by
@@ -80,20 +81,32 @@ def mask_dtype(n: int) -> np.dtype:
     raise ValueError(f"bitmask engine supports at most 64 columns, got {n}")
 
 
-def pack_rows(bits: np.ndarray) -> List[int]:
-    """Each row of a 2-D truth array packed into an int (bit j = column j);
-    any width, so rows wider than 64 columns stay exact.
-
-    Rows are padded to whole 64-bit words and read as little-endian words,
-    most significant word first, so one word needs no Python arithmetic.
-    """
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D truth array packed into W = max(ceil(cols/64), 1)
+    little-endian uint64 words: column j is bit j % 64 of word j // 64."""
     rows, cols = bits.shape
     words = max(-(-cols // 64), 1)
     padded = np.zeros((rows, 64 * words), dtype=bool)
     padded[:, :cols] = bits
-    lanes = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def unpack_words(words: np.ndarray) -> np.ndarray:
+    """Inverse of pack_words: one 0/1 `uint8` entry per bit, 64 per word."""
+    return np.unpackbits(np.ascontiguousarray(words).view(np.uint8), axis=1,
+                         bitorder="little")
+
+
+def pack_rows(bits: np.ndarray) -> List[int]:
+    """Each row of a 2-D truth array packed into an int (bit j = column j);
+    any width, so rows wider than 64 columns stay exact.
+
+    The words of pack_words are joined most significant first, so one word
+    needs no Python arithmetic.
+    """
+    lanes = pack_words(bits)
     out = lanes[:, -1].tolist()
-    for w in range(words - 2, -1, -1):
+    for w in range(lanes.shape[1] - 2, -1, -1):
         out = [(hi << 64) | lo for hi, lo in zip(out, lanes[:, w].tolist())]
     return out
 

@@ -6,14 +6,25 @@ Only row supports matter, so both search engines below work on bitmasks.
 
 stopping_distance uses an increasing-size lexicographic subset scan while
 the total subset count fits the scan budget, and otherwise a complete
-branch-and-bound search (violated-row branching with unit propagation and
-a disjoint-support lower bound).  The scan passes each level through the
-rows in blocks of _CHUNK subsets; every row keeps only the subsets it does
-not cover, so a row costs as many tests as there are subsets still alive
-when it is reached, and a block stops at the first row that leaves none.
-Besides the level and its survivors, a block needs one block of scratch
-memory.  The branch-and-bound is output-sensitive but exponential in the
-worst case.
+branch-and-bound search.  Both return the lexicographically first minimum
+stopping set as the witness.
+
+The scan passes each level through the rows in blocks of _CHUNK subsets;
+every row keeps only the subsets it does not cover, so a row costs as
+many tests as there are subsets still alive when it is reached, and a
+block stops at the first row that leaves none.  Besides the level and its
+survivors, a block needs one block of scratch memory.
+
+The branch-and-bound branches on violated rows, with unit propagation and
+a greedy disjoint-row lower bound.  It expands a block of nodes per numpy
+pass: a node is a current set and a banned set, each a row of
+W = ceil(n/64) uint64 words, so every width takes one path.  Nodes wait
+in buckets by size, and the next block always comes from the largest
+nonempty bucket, so each size stores at most the children of one block.
+A block is sized so that each (nodes, rows, W) array holds _CHUNK >> 4
+words.  Roots go by descending column degree, ties by index, so the tree
+depends on the column order only through ties.  The search is
+output-sensitive but exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -24,7 +35,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import mask_to_positions, popcount, positions_to_mask, weight_masks
+from ._bits import (mask_to_positions, pack_words, popcount,
+                    positions_to_mask, unpack_words, weight_masks)
 from .linalg import LinearCode, Matrix, mat_mul, rank
 
 SCAN_BUDGET = 1 << 25
@@ -75,13 +87,28 @@ def covers(row: Sequence[int], positions) -> bool:
     return int(np.count_nonzero(vec[list(pos)])) == 1
 
 
-def _lex_first_mask(masks: np.ndarray, n: int) -> int:
-    """Lexicographically first subset (as sorted position tuples) among masks."""
-    rev = np.zeros_like(masks)
-    one = masks.dtype.type(1)
-    for j in range(n):
-        rev |= ((masks >> masks.dtype.type(j)) & one) << masks.dtype.type(n - 1 - j)
-    return int(masks[int(np.argmax(rev))])
+# _REVERSED_BYTE[b] is the byte b with its bit order reversed.
+_REVERSED_BYTE = np.packbits(np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"),
+    axis=1).ravel()
+
+
+def _lex_first(sets: np.ndarray) -> int:
+    """Index of the lexicographically first (as sorted position tuples) of
+    equal-size column sets, given as rows of pack_words words.
+
+    Of two sets of one size, the first holds the lowest column of their
+    difference; with the bits of every word reversed it is the larger one,
+    comparing word 0 first.
+    """
+    byte_rows = sets.view(np.uint8).reshape(len(sets), -1, 8)
+    rev = _REVERSED_BYTE[byte_rows[..., ::-1]]  # each word bit-reversed
+    rev = np.ascontiguousarray(rev).view("<u8").reshape(len(sets), -1)
+    keep = np.arange(len(sets))
+    for w in range(rev.shape[1]):
+        col = rev[keep, w]
+        keep = keep[col == col.max()]
+    return int(keep[0])
 
 
 def _scan_level(row_masks: List[int], n: int, size: int) -> Optional[int]:
@@ -100,83 +127,127 @@ def _scan_level(row_masks: List[int], n: int, size: int) -> Optional[int]:
             found.append(alive)
     if not found:
         return None
-    return _lex_first_mask(np.concatenate(found), n)
+    found_sets = np.concatenate(found).astype("<u8")
+    return int(found_sets[_lex_first(found_sets[:, None])])
 
 
-def _bnb_min_stopping(row_masks: List[int], n: int,
+def _take(chunks: list, block: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Pop up to `block` nodes, as (cur, banned) word arrays, off the end
+    of a frontier bucket; the rest of the last chunk taken goes back."""
+    curs, bans, got = [], [], 0
+    while chunks and got < block:
+        cur, banned = chunks.pop()
+        curs.append(cur)
+        bans.append(banned)
+        got += len(cur)
+    cur, banned = np.concatenate(curs), np.concatenate(bans)
+    if got > block:
+        chunks.append((cur[block:], banned[block:]))
+        cur, banned = cur[:block], banned[:block]
+    return cur, banned
+
+
+def _bnb_min_stopping(rows: np.ndarray, n: int,
                       limit: int) -> Optional[Tuple[int, int]]:
     """Complete search for a minimum stopping set of size <= limit.
 
-    Returns (size, mask) or None.  Deterministic: branches on the violated
-    row with the fewest allowed extensions, positions in ascending order,
-    with sibling exclusion so no subset is visited twice.
+    rows holds the nonzero row supports as pack_words words.  Returns
+    (size, mask) of the lexicographically first minimum stopping set, or
+    None.  A node is a current set `cur` and a set `banned` of columns its
+    subtree never adds.  It branches on the violated row with the fewest
+    allowed extensions (ties: the smallest allowed set as an integer), one
+    child per allowed column with the lower ones banned, so no subset is
+    visited twice.  Every minimum stopping set is reached, because a node
+    is pruned only when its size plus the greedy disjoint-row bound exceeds
+    the best size so far (at first, limit).
     """
-    rows = [r for r in row_masks if r]
-    col_union = 0
-    for r in rows:
-        col_union |= r
-    for j in range(n):  # an all-zero column is a singleton stopping set
-        if not (col_union >> j) & 1:
-            return (1, 1 << j)
+    m, width = rows.shape
+    bits = 64 * width
+    single = pack_words(np.eye(bits, dtype=bool))  # column j alone
+    below = pack_words(np.tri(bits, k=-1, dtype=bool))  # columns < j
+    # roots by descending column degree, so the tree depends on the column
+    # order only through ties; each bans the roots before it
+    degree = unpack_words(rows)[:, :n].sum(0)
+    roots = single[np.argsort(-degree, kind="stable")]
+    frontier = {1: [(roots, np.bitwise_or.accumulate(roots) ^ roots)]}
+    # _CHUNK >> 4 words per (nodes, rows) array keeps a block's scratch small
+    block = max(1, (_CHUNK >> 4) // (max(m, 1) * width))
+    best, witness = limit, None  # sizes above best are never explored
 
-    best: List[Optional[int]] = [limit + 1, None]
+    def push(size: int, cur: np.ndarray, banned: np.ndarray) -> None:
+        if len(cur):
+            frontier.setdefault(size, []).append((cur, banned))
 
-    def dfs(cur: int, banned: int, size: int) -> None:
-        budget = min(limit, best[0] - 1)
-        if size > budget:
-            return
-        while True:
-            violated = []
-            for r in rows:
-                x = r & cur
-                if x and (x & (x - 1)) == 0:
-                    allowed = r & ~cur & ~banned
-                    if allowed == 0:
-                        return
-                    violated.append((allowed.bit_count(), allowed))
-            if not violated:
-                if size < best[0]:
-                    best[0] = size
-                    best[1] = cur
-                return
-            forced = 0
-            for c, allowed in violated:
-                if c == 1:
-                    forced |= allowed
-            if forced:
-                size += (forced & ~cur).bit_count()
-                cur |= forced
-                budget = min(limit, best[0] - 1)
-                if size > budget:
-                    return
-                continue
-            break
-        violated.sort()
-        used = 0
-        lb = 0
-        for _, allowed in violated:
-            if allowed & used == 0:
-                lb += 1
-                used |= allowed
-        if size + lb > budget:
-            return
-        _, allowed = violated[0]
-        ban = banned
-        while allowed:
-            b = allowed & -allowed
-            allowed ^= b
-            dfs(cur | b, ban, size + 1)
-            ban |= b
-            if best[0] <= size + 1:
-                return
+    while frontier:
+        size = max(frontier)  # deepest first keeps the stored frontier small
+        if size > best:
+            del frontier[size]
+            continue
+        cur, banned = _take(frontier[size], block)
+        if not frontier[size]:
+            del frontier[size]
+        # one entry per violated (node, row) pair, node by node
+        node, row = np.divmod(np.flatnonzero(
+            popcount(rows & cur[:, None]).sum(-1) == 1), m)
+        allowed = rows[row] & ~(cur | banned)[node]
+        count = popcount(allowed).sum(-1)
+        live = np.ones(len(cur), dtype=bool)
+        live[node[count == 0]] = False
+        forced = np.zeros_like(cur)
+        np.bitwise_or.at(forced, node[count == 1], allowed[count == 1])
+        unit = live & forced.any(1)
+        done = live & (np.bincount(node, minlength=len(cur)) == 0)
+        split = live & ~unit & ~done
 
-    for j in range(n):
-        if best[0] == 1:
-            break
-        dfs(1 << j, (1 << j) - 1, 1)
-    if best[1] is None:
+        if done.any():
+            found = cur[done]
+            if witness is not None and size == best:
+                found = np.vstack([witness, found])
+            witness, best = found[_lex_first(found)][None], size
+        if unit.any():
+            grown, grown_banned = cur[unit] | forced[unit], banned[unit]
+            sizes = popcount(grown).sum(1)
+            for s in np.unique(sizes[sizes <= best]).tolist():
+                push(s, grown[sizes == s], grown_banned[sizes == s])
+        if not split.any():
+            continue
+        take = split[node]
+        node = (np.cumsum(split) - 1)[node[take]]
+        allowed, count = allowed[take], count[take]
+        cur, banned = cur[split], banned[split]
+        # each node's violated rows in (count, allowed) order: sort by the
+        # words of allowed, least significant first, then by (node, count)
+        # with the position so far as the last digit, so every key is unique
+        rank = np.argsort(allowed[:, 0])
+        for w in range(1, width):
+            rank = rank[np.argsort(allowed[rank, w], kind="stable")]
+        place = np.empty_like(rank)
+        place[rank] = np.arange(len(rank))
+        rank = np.argsort((node * (bits + 1) + count) * len(rank) + place)
+        allowed = allowed[rank]
+        per_node = np.bincount(node, minlength=len(cur))
+        first = np.cumsum(per_node) - per_node
+        # greedy disjoint rows; a node leaves once its verdict is settled
+        slack = best - size  # a node is pruned when its bound exceeds this
+        used = np.zeros_like(cur)
+        lb = np.zeros(len(cur), dtype=np.int64)
+        at, i = np.flatnonzero(per_node > slack), 0
+        while at.size:
+            row = allowed[first[at] + i]
+            free = ~(row & used[at]).any(1)
+            lb[at] += free
+            used[at[free]] |= row[free]
+            i += 1
+            at = at[(per_node[at] > i) & (lb[at] <= slack)]
+        keep = lb <= slack
+        pick = allowed[first[keep]]
+        node, col = np.divmod(np.flatnonzero(unpack_words(pick)), bits)
+        push(size + 1, cur[keep][node] | single[col],
+             banned[keep][node] | (pick[node] & below[col]))
+
+    if witness is None:
         return None
-    return best[0], best[1]
+    return best, sum(int(w) << (64 * i) for i, w in enumerate(witness[0]))
 
 
 def stopping_distance(h: Matrix, cap: Optional[int] = None) -> StoppingReport:
@@ -192,19 +263,20 @@ def stopping_distance(h: Matrix, cap: Optional[int] = None) -> StoppingReport:
         raise ValueError("matrix must have at least one column")
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive")
-    row_masks = [r for r in h.row_masks() if r]
     limit = n if cap is None else min(cap - 1, n)
 
     total = sum(comb(n, i) for i in range(1, limit + 1))
     found: Optional[Tuple[int, int]] = None
     if n <= 64 and total <= SCAN_BUDGET:
+        row_masks = [r for r in h.row_masks() if r]
         for size in range(1, limit + 1):
             mask = _scan_level(row_masks, n, size)
             if mask is not None:
                 found = (size, mask)
                 break
     else:
-        found = _bnb_min_stopping(row_masks, n, limit)
+        words = pack_words(h.data != 0)
+        found = _bnb_min_stopping(words[words.any(1)], n, limit)
 
     if found is not None:
         return StoppingReport(found[0], mask_to_positions(found[1]))

@@ -79,26 +79,27 @@ def test_criterion_04_golay_bound_bracket():
 
 
 def test_criterion_05_reed_muller_constructions():
-    with criterion(5, "recursive RM check matrices for all r < m <= 5"):
+    with criterion(5, "recursive RM check matrices for all r < m <= 5, "
+                      "and r <= 2 at m = 6"):
         gf2 = make_field(2)
-        for m in range(1, 6):
-            for r in range(0, m):
-                h = rm_stopping_pcm(r, m)
-                g = rm_generator(r, m)
-                assert h.n_rows == rm_row_count(r, m)
-                stacked = Matrix(gf2, np.vstack([h.data, g.data]))
-                assert rank(h) == rank(g) == rank(stacked)  # same row space
-                want_s = 1 << (r + 1)
-                report = stopping_distance(h, cap=want_s)
-                assert report.s == want_s
-                # exactness: a minimum-weight word of the checked code is a
-                # stopping set of exactly the promised size
-                dual_gen = rm_generator(m - r - 1, m)
-                weights = np.count_nonzero(dual_gen.data, axis=1)
-                row = dual_gen.data[int(np.argmin(weights))]
-                support = tuple(int(j) for j in np.nonzero(row)[0])
-                assert len(support) == want_s
-                assert is_stopping_set(h, support)
+        for r, m in [(r, m) for m in range(1, 7) for r in range(m)
+                     if m < 6 or r <= 2]:
+            h = rm_stopping_pcm(r, m)
+            g = rm_generator(r, m)
+            assert h.n_rows == rm_row_count(r, m)
+            stacked = Matrix(gf2, np.vstack([h.data, g.data]))
+            assert rank(h) == rank(g) == rank(stacked)  # same row space
+            want_s = 1 << (r + 1)
+            report = stopping_distance(h, cap=want_s)
+            assert report.s == want_s
+            # exactness: a minimum-weight word of the checked code is a
+            # stopping set of exactly the promised size
+            dual_gen = rm_generator(m - r - 1, m)
+            weights = np.count_nonzero(dual_gen.data, axis=1)
+            row = dual_gen.data[int(np.argmin(weights))]
+            support = tuple(int(j) for j in np.nonzero(row)[0])
+            assert len(support) == want_s
+            assert is_stopping_set(h, support)
         assert rm_row_count(1, 3) == 5
         for m in range(2, 9):
             assert rm_upper_bound(m - 2, m) == 2 * m - 1

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_parity_check
@@ -128,18 +128,64 @@ def capped_matrices(draw):
     return Matrix(make_field(q), np.array(rows, dtype=np.uint8).reshape(m, n)), cap
 
 
+# a depth-first search stopping at its first minimum set reports (1, 2, 5, 9)
+_NOT_LEX_FIRST_FOR_DFS = [[0, 1, 1, 0, 0, 1, 0, 0, 0, 0],
+                          [0, 0, 0, 0, 1, 1, 1, 1, 0, 1],
+                          [0, 0, 1, 1, 0, 0, 1, 0, 1, 1],
+                          [1, 0, 1, 0, 0, 1, 0, 0, 1, 1],
+                          [0, 1, 1, 0, 0, 1, 1, 0, 0, 1],
+                          [0, 1, 0, 0, 1, 1, 0, 1, 1, 0],
+                          [0, 0, 1, 0, 0, 1, 0, 0, 0, 1],
+                          [0, 0, 0, 0, 1, 1, 0, 0, 0, 1]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(capped_matrices())
+@example((Matrix(make_field(2), _NOT_LEX_FIRST_FOR_DFS), None))
 def test_bnb_agrees_with_scan(case):
     h, cap = case
     scan = stopping_distance(h, cap)
-    with mock.patch.object(stopping, "SCAN_BUDGET", 0):  # forces branch-and-bound
-        bnb = stopping_distance(h, cap)
-    assert (bnb.s, bnb.at_least) == (scan.s, scan.at_least)
-    for report in (scan, bnb):
-        if report.witness is not None:
-            assert len(report.witness) == report.s
-            assert is_stopping_set(h, report.witness)
+    if scan.witness is not None:
+        assert len(scan.witness) == scan.s
+        assert is_stopping_set(h, scan.witness)
+    # both engines report the lexicographically first minimum stopping set;
+    # _CHUNK sets the branch-and-bound block: one node, a few, the default
+    for chunk in (1, 1 << 8, stopping._CHUNK):
+        with mock.patch.object(stopping, "SCAN_BUDGET", 0), \
+                mock.patch.object(stopping, "_CHUNK", chunk):
+            assert stopping_distance(h, cap) == scan
+
+
+@st.composite
+def padded_matrices(draw):
+    """A narrow matrix padded to 65..140 columns; every added column has a
+    private weight-1 row, so it lies in no stopping set."""
+    narrow, _ = draw(capped_matrices())
+    m, n = narrow.data.shape
+    width = draw(st.integers(65, 140))
+    data = np.zeros((m + width - n, width), dtype=np.uint8)
+    data[:m, :n] = narrow.data
+    data[m:, n:] = np.eye(width - n, dtype=np.uint8)
+    return narrow, Matrix(narrow.field, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(padded_matrices())
+def test_wide_bnb_matches_narrow_scan(case):
+    narrow, wide = case
+    for cap in range(1, narrow.n_cols + 1):
+        assert stopping_distance(wide, cap) == stopping_distance(narrow, cap)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_zero_column_reports_agree_across_engines(gf2, n):
+    # n = 64 caps by the scan, n = 65 only by the branch-and-bound
+    data = np.ones((1, n), dtype=np.uint8)
+    data[0, 0] = 0
+    h = Matrix(gf2, data)
+    capped = StoppingReport(1, None, at_least=True)
+    assert stopping_distance(h, cap=1) == capped
+    assert stopping_distance(h) == StoppingReport(1, (0,))
 
 
 def test_s_at_most_d_random_codes():
