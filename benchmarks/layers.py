@@ -97,6 +97,11 @@ def layers() -> dict:
         "psi_ml rm15-checks": (
             lambda: stopred.psi_ml(code_of(construct.rm_generator(1, 5))),
             1, lambda p: p.counts),
+        # RM(2,6) = [64, 22]: 42 check rows, more than 32 bits
+        "psi_ml rm26 w_max=3": (
+            lambda: stopred.psi_ml(LinearCode.from_generator(rm26), w_max=3),
+            1, lambda p: p.counts),
+        "rank hstar-h24": (lambda: stopred.rank(hstar), 1, int),
         "stopping_distance h24": (
             lambda: stopred.stopping_distance(h24), 1, lambda r: r.s),
         "stopping_distance hstar-h24 cap=8": (

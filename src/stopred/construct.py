@@ -15,7 +15,7 @@ import numpy as np
 
 from .field import make_field
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _rank_packed_gf2, dual_codewords, mat_mul, nullspace, rank)
+                     _rank_gf2, dual_codewords, mat_mul, nullspace, rank)
 
 
 class NotMDSError(ValueError):
@@ -274,7 +274,7 @@ def weight_one_combination_depth(t: int) -> int:
                       for size in range(1, t + 1)]
     worst = 0
     for cand in combinations(nonzero, t):
-        if _rank_packed_gf2(cand) != t:
+        if _rank_gf2(cand) != t:
             continue
         need = None
         for size, idx_list in enumerate(subset_indices, start=1):

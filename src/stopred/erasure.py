@@ -11,11 +11,14 @@ estimated cost is below that of the per-weight path.
 
 Every other table (more columns, a w_max cut, too many codewords, or a
 high-rate code or low-rank H, where few patterns need testing) is counted
-exhaustively per weight over bitmask batches.  Two analytic
-shortcuts are exact and used to avoid pointless enumeration there: once
-every pattern of some weight fails, every heavier weight fails too (failure
-is monotone under adding erasures); and any pattern with more erasures than
-rank(H) has linearly dependent columns, so both decoders fail on it.
+exhaustively per weight, LATTICE_CHUNK pattern masks at a time: peeling by
+`_peel_residues`, binary ML by the batched GF(2) rank of the erased
+columns (`linalg._rank_gf2`), and ML over q > 2 by `ml_decode` one pattern
+at a time.  Two analytic shortcuts are exact and used to avoid pointless
+enumeration there: once every pattern of some weight fails, every heavier
+weight fails too (failure is monotone under adding erasures); and any
+pattern with more erasures than rank(H) has linearly dependent columns, so
+both decoders fail on it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from ._bits import (LATTICE_CHUNK, count_by_popcount, mask_to_positions,
                     popcount, positions_to_mask, up_close, weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _enumerate_combinations, rank)
+                     _enumerate_combinations, _rank_gf2, rank)
 
 WEIGHT_GUARD = 1 << 25
 LATTICE_MAX_N = 26  # a complete table needs one byte per subset: 64 MiB
@@ -85,7 +88,11 @@ class PsiProfile:
         pairs = {}
         for ln in rows[1:]:
             w_str, c_str = ln.split(",")
-            pairs[int(w_str)] = int(c_str)
+            w = int(w_str)
+            if w < 0 or w in pairs:
+                raise ValueError(f"weight {w} is "
+                                 f"{'negative' if w < 0 else 'repeated'}")
+            pairs[w] = int(c_str)
         n = max(pairs)
         counts: List[Optional[int]] = [pairs.get(w) for w in range(n + 1)]
         return cls(n, decoder, counts)
@@ -131,30 +138,6 @@ def _peel_residues(row_masks: Sequence[int], erased):
             erased = erased ^ x * (x & (x - 1) == 0)
         if np.array_equal(erased, before):
             return erased
-
-
-def _ml_fail_batch_gf2(col_bits: Sequence[int], patterns: np.ndarray,
-                       r_bits: int) -> np.ndarray:
-    """Batch column-rank test over GF(2): True where columns are dependent."""
-    dt = patterns.dtype
-    n_pat = len(patterns)
-    basis = np.zeros((n_pat, r_bits), dtype=np.uint32)
-    fail = np.zeros(n_pat, dtype=bool)
-    for j, cj in enumerate(col_bits):
-        active = ((patterns >> dt.type(j)) & dt.type(1)) != 0
-        if not active.any():
-            continue
-        c = np.where(active, np.uint32(cj), np.uint32(0))
-        for h in range(r_bits - 1, -1, -1):
-            hit = ((c >> np.uint32(h)) & np.uint32(1)) != 0
-            if hit.any():
-                c = np.where(hit, c ^ basis[:, h], c)
-        fail |= active & (c == 0)
-        ins = c != 0
-        if ins.any():
-            lead = np.floor(np.log2(c[ins])).astype(np.int64)
-            basis[np.nonzero(ins)[0], lead] = c[ins]
-    return fail
 
 
 def _check_weight_guard(n: int, w: int) -> None:
@@ -214,10 +197,12 @@ def _codeword_supports(c: LinearCode) -> np.ndarray:
 
 
 def _count_by_weight(n: int, r: int, w_max: Optional[int],
-                     count_level: Callable[[np.ndarray], int]
+                     fails: Callable[[np.ndarray], Sequence]
                      ) -> List[Optional[int]]:
-    """Per-weight table: count_level(all weight-w masks) for each weight up
-    to w_max, except where a shortcut below gives the count exactly."""
+    """Per-weight table: the number of weight-w masks where fails(masks) is
+    nonzero, for each weight up to w_max, except where a shortcut below
+    gives the count exactly.  A level is tested LATTICE_CHUNK masks at a
+    time, which bounds the decoders' per-row scratch arrays."""
     limit = n if w_max is None else min(w_max, n)
     counts: List[Optional[int]] = [None] * (n + 1)
     for w in range(n + 1):
@@ -230,35 +215,32 @@ def _count_by_weight(n: int, r: int, w_max: Optional[int],
         if w > limit:
             continue
         _check_weight_guard(n, w)
-        counts[w] = count_level(weight_masks(n, w))
+        level = weight_masks(n, w)
+        counts[w] = sum(
+            int(np.count_nonzero(fails(level[i:i + LATTICE_CHUNK])))
+            for i in range(0, len(level), LATTICE_CHUNK))
     return counts
 
 
 def _psi_stop_by_weight(h: Matrix,
                         w_max: Optional[int]) -> List[Optional[int]]:
-    n = h.n_cols
-    r = rank(h)
     masks = h.row_masks()
-    return _count_by_weight(
-        n, r, w_max,
-        lambda level: int(np.count_nonzero(_peel_residues(masks, level))))
+    return _count_by_weight(h.n_cols, rank(h), w_max,
+                            lambda block: _peel_residues(masks, block))
 
 
 def _psi_ml_by_weight(c: LinearCode,
                       w_max: Optional[int]) -> List[Optional[int]]:
-    n = c.n
     h = c.parity_check
-    r = h.n_rows
-    if c.field.q == 2 and r <= 32:
-        col_bits = Matrix(c.field, h.data.T).row_masks()
+    if c.field.q == 2:
+        rows = h.row_masks()
 
-        def count_level(level: np.ndarray) -> int:
-            return int(np.count_nonzero(_ml_fail_batch_gf2(col_bits, level, r)))
+        def fails(block: np.ndarray) -> np.ndarray:
+            return _rank_gf2(rows, block) < popcount(block)
     else:
-        def count_level(level: np.ndarray) -> int:
-            return sum(not ml_decode(h, mask_to_positions(int(m)))
-                       for m in level)
-    return _count_by_weight(n, r, w_max, count_level)
+        def fails(block: np.ndarray) -> List[bool]:
+            return [not ml_decode(h, mask_to_positions(int(m))) for m in block]
+    return _count_by_weight(c.n, h.n_rows, w_max, fails)
 
 
 def _psi_stop_on_lattice(h: Matrix) -> List[int]:
@@ -298,10 +280,12 @@ def psi_ml(c: LinearCode, w_max: Optional[int] = None) -> PsiProfile:
     """
     n, k, q = c.n, c.k, c.field.q
     # a lattice subset costs 10 ns and a codeword 5 ns per symbol and
-    # generator row; a GF(2) pattern 200 ns per check row, any other
-    # pattern 100 us in ml_decode
+    # generator row; a GF(2) pattern r^2 ns for r = n - k check rows (the
+    # per-weight path took 0.84-1.02 r^2 ns per pattern of weight <= r for
+    # r = 8..20 at n = 24, weight masks included), any other pattern
+    # 100 us in ml_decode
     lattice_ns = (10 << n) + 5 * k * n * q ** k
-    pattern_ns = 200 * (n - k) if q == 2 else 100_000
+    pattern_ns = (n - k) ** 2 if q == 2 else 100_000
     if (_on_lattice(n, w_max) and q ** k <= ENUM_GUARD
             and _lattice_cheaper(n, n - k, lattice_ns, pattern_ns)):
         counts = _psi_ml_on_lattice(c)

@@ -1,9 +1,10 @@
 """Matrices and linear codes over GF(q).
 
 Matrices are dense numpy uint8 grids of element indices.  Reduced echelon
-form, rank, nullspace and codeword enumeration are generic over the field;
-GF(2) additionally has a word-packed rank path (rows as Python ints) that
-must agree with the generic path.
+form, rank, nullspace and codeword enumeration are generic over the field.
+GF(2) ranks come from one elimination kernel, `_rank_gf2`, on vectors
+packed into ints; it takes one mask or an array of masks, so the same
+loop gives the rank of one column subset or of a batch of them.
 
 All enumeration routines refuse to expand more than ENUM_GUARD states.
 """
@@ -108,24 +109,29 @@ def _rank_generic(field: FieldSpec, data: np.ndarray) -> int:
     return len(_rref(field, data)[1])
 
 
-def _rank_packed_gf2(rows: List[int]) -> int:
-    """Rank over GF(2) with rows packed as ints (bit j = column j)."""
-    basis: List[int] = []
-    rank = 0
-    for v in rows:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+def _rank_gf2(vectors, within=-1):
+    """Rank over GF(2) of packed vectors (ints, bit j = coordinate j)
+    restricted to the mask `within`: an int, or an array of masks for a
+    batch of ranks.  Each vector is reduced by the earlier ones at their
+    lowest set bits, which it then lacks, so a nonzero remainder is
+    independent of them.  The operators act alike on an int and an array."""
+    basis = []
+    r = within & 0  # shaped like the batch even with no vectors
+    for v in vectors:
+        v = v & within
+        for b, low in basis:
+            v = v ^ b * (v & low != 0)
+        basis.append((v, v & (~v + 1)))
+        r = r + (v != 0)
+    return r
 
 
 def rank(m: Matrix) -> int:
     """Row rank over the field; the input is not modified."""
     if m.field.q == 2:
-        return _rank_packed_gf2(m.row_masks())
+        bits = m.data != 0
+        # rank(M) = rank(M^T): reduce the fewer vectors
+        return _rank_gf2(pack_rows(bits if m.n_rows <= m.n_cols else bits.T))
     return _rank_generic(m.field, m.data)
 
 

@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from itertools import combinations
 from math import comb
 from unittest import mock
 
@@ -10,14 +11,15 @@ from hypothesis import strategies as st
 from conftest import random_parity_check
 from reference import ref_codewords, ref_ml_fails, ref_peel
 from stopred import _bits, erasure
-from stopred._bits import mask_to_positions, positions_to_mask, weight_masks
+from stopred._bits import (mask_to_positions, popcount, positions_to_mask,
+                           weight_masks)
 from stopred.cli import load_asset
 from stopred.erasure import (PsiProfile, _peel_residues, _psi_ml_by_weight,
                              _psi_ml_on_lattice, _psi_stop_by_weight,
                              _psi_stop_on_lattice, failure_curve,
                              iterative_decode, ml_decode, psi_ml, psi_stop)
 from stopred.field import make_field
-from stopred.linalg import LinearCode, Matrix
+from stopred.linalg import LinearCode, Matrix, _rank_gf2
 from stopred.stopping import is_stopping_set, stopping_distance
 
 
@@ -223,11 +225,8 @@ def test_monte_carlo_matches_curve(golay24):
     se = (it_true * (1 - it_true) / trials) ** 0.5
     assert abs(it_rate - it_true) <= 4 * se
 
-    from stopred.erasure import _ml_fail_batch_gf2
-    col_bits = [int(x) for x in
-                (h24.data.T.astype(np.uint64) <<
-                 np.arange(12, dtype=np.uint64)).sum(axis=1)]
-    ml_rate = np.count_nonzero(_ml_fail_batch_gf2(col_bits, patterns, 12)) / trials
+    dependent = _rank_gf2(masks, patterns) < popcount(patterns)
+    ml_rate = np.count_nonzero(dependent) / trials
     ml_true = failure_curve(psi_ml(golay24), [0.3])[0][1]
     se = (ml_true * (1 - ml_true) / trials) ** 0.5
     assert abs(ml_rate - ml_true) <= 4 * se
@@ -256,6 +255,15 @@ def test_psi_csv_refuses_to_drop_weight_n():
     assert back.counts == gap.counts
     with pytest.raises(ValueError):
         failure_curve(back, [0.5])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("w,count\n-1,5\n0,0\n1,1\n", "weight -1 is negative"),
+    ("w,count\n0,0\n1,1\n1,0\n", "weight 1 is repeated"),
+], ids=["negative", "repeated"])
+def test_psi_csv_rejects_bad_weight(text, message):
+    with pytest.raises(ValueError, match=message):
+        PsiProfile.from_csv(text)
 
 
 @st.composite
@@ -347,3 +355,21 @@ def test_high_rate_tables_stay_per_weight(rows, d):
     assert min(w for w, c in enumerate(psi_c) if c) == d
     if len(rows) == 1:
         assert psi_h == psi_c == [0, 0] + [comb(24, w) for w in range(2, 25)]
+
+
+def test_psi_ml_per_weight_above_32_check_rows():
+    # n = 36 and n - k = 33: 64-bit pattern masks and more check rows than
+    # 32 bits; the codeword supports {5, 34} and {0, 17, 33} straddle bit 32
+    g = np.zeros((3, 36), dtype=np.uint8)
+    g[0, [5, 34]] = 1
+    g[1, [0, 17, 33]] = 1
+    g[2, ::2] = 1
+    code = LinearCode.from_generator(Matrix(make_field(2), g))
+    assert code.n - code.k == 33
+    counts = psi_ml(code, w_max=3).counts
+    rows = g.tolist()
+    assert counts[:4] == [sum(ref_ml_fails(rows, 2, p)
+                              for p in combinations(range(36), w))
+                          for w in range(4)] == [0, 0, 1, 35]
+    assert counts[4:34] == [None] * 30
+    assert counts[34:] == [comb(36, w) for w in (34, 35, 36)]

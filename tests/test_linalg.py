@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import ref_min_distance, ref_rank
+from stopred._bits import mask_dtype, mask_to_positions, pack_rows, pack_words
 from stopred.cli import load_asset
 from stopred.field import make_field
 from stopred.linalg import (EnumerationTooLargeError, LinearCode, Matrix,
-                            _rank_generic, dual_codewords, enumerate_codewords,
-                            mat_mul, min_distance, nullspace, rank)
+                            _rank_generic, _rank_gf2, dual_codewords,
+                            enumerate_codewords, mat_mul, min_distance,
+                            nullspace, rank)
 
 
 def test_rank_zero_matrix(gf2):
@@ -21,12 +25,50 @@ def test_rank_golay_matrices():
     assert ref_rank(hp24.data.tolist(), 2) == 12
 
 
-def test_packed_and_generic_rank_agree(gf2):
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m, n = rng.integers(1, 12, size=2)
-        mat = Matrix(gf2, rng.integers(0, 2, size=(m, n)).astype(np.uint8))
-        assert rank(mat) == _rank_generic(gf2, mat.data) == ref_rank(mat.data.tolist(), 2)
+def _low_rank_bits(rng, m, n, t):
+    """A random m x n binary matrix of rank at most t."""
+    a = rng.integers(0, 2, size=(m, t))
+    b = rng.integers(0, 2, size=(t, n))
+    return (a @ b % 2).astype(np.uint8)
+
+
+@st.composite
+def binary_matrices(draw):
+    """Small, tall (more rows than columns), wide (more than 64 columns)
+    or zero-row binary matrices, of a drawn rank bound."""
+    m, n = draw(st.one_of(
+        st.tuples(st.integers(1, 11), st.integers(1, 11)),
+        st.integers(1, 30).flatmap(
+            lambda n: st.tuples(st.integers(n + 1, 40), st.just(n))),
+        st.tuples(st.integers(1, 12), st.integers(65, 150)),
+        st.tuples(st.just(0), st.integers(0, 80))))
+    t = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _low_rank_bits(rng, m, n, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(binary_matrices())
+def test_packed_and_generic_rank_agree(data):
+    gf2 = make_field(2)
+    assert (rank(Matrix(gf2, data)) == _rank_generic(gf2, data)
+            == ref_rank(data.tolist(), 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 20), st.integers(0, 2**32 - 1))
+def test_batch_rank_matches_single_rank(n, m, seed):
+    # the array form of the kernel ranks the columns of each mask at once
+    rng = np.random.default_rng(seed)
+    bits = _low_rank_bits(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
+    rows = pack_rows(bits != 0)
+    masks = pack_words(rng.integers(0, 2, size=(40, n)) != 0)[:, 0]
+    batch = _rank_gf2(rows, masks.astype(mask_dtype(n)))
+    assert batch.shape == masks.shape
+    for mask, got in zip(masks.tolist(), batch.tolist()):
+        cols = list(mask_to_positions(mask))
+        assert (got == _rank_gf2(rows, mask)
+                == ref_rank(bits[:, cols].tolist(), 2))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
