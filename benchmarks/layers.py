@@ -19,6 +19,7 @@ layer's best time over it as `best_ref`; two files compare by that ratio.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -76,6 +77,9 @@ def layers() -> dict:
     rm26_checks = Matrix(rm26_checks.field, rm26_checks.data[
         :, np.random.default_rng(0).permutation(rm26_checks.n_cols)])
     hstar = construct.full_dual_pcm(code_of(h24))  # all 4095 dual words
+    # perfbench's rs13, the [13, 5, 9] Reed-Solomon code: 13^5 codewords
+    rs13 = Matrix(field.make_field(13),
+                  [[pow(x, i, 13) for x in range(13)] for i in range(8)])
     thm4 = construct.combination_pcm(h24, 6)  # 2509 rows
     out = {
         "row_masks hp24": (hp24.row_masks, 1, lambda m: sum(m) % 1_000_003),
@@ -102,6 +106,11 @@ def layers() -> dict:
             lambda: stopred.psi_ml(LinearCode.from_generator(rm26), w_max=3),
             1, lambda p: p.counts),
         "rank hstar-h24": (lambda: stopred.rank(hstar), 1, int),
+        # a new code each run: the distance is cached on the code
+        "min_distance rs13": (lambda: code_of(rs13).min_distance(), 1, int),
+        "dual_codewords h24": (
+            lambda: stopred.dual_codewords(code_of(h24)), 1,
+            lambda w: hashlib.sha256(w.tobytes()).hexdigest()),
         "stopping_distance h24": (
             lambda: stopred.stopping_distance(h24), 1, lambda r: r.s),
         "stopping_distance hstar-h24 cap=8": (

@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mindist", help="minimum distance of the code")
     add_matrix_opts(p)
-    add_format(p)
     p.set_defaults(func=_cmd_mindist)
 
     p = sub.add_parser("bounds", help="stopping-redundancy bounds")
@@ -366,14 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--generator", action="store_true",
                    help="with rm: emit the plain recursive generator")
-    add_format(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("greedy", help="greedy full-stopping-distance matrix")
     add_matrix_opts(p)
     p.add_argument("--uniform", action="store_true",
                    help="score every uncovered set 1 point")
-    add_format(p)
     p.set_defaults(func=_cmd_greedy)
 
     p = sub.add_parser("rho-exact", help="exact stopping redundancy (tiny codes)")
@@ -398,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assets", help="print an embedded reference matrix")
     p.add_argument("name", choices=sorted(ASSET_TEXT))
-    add_format(p)
     p.set_defaults(func=_cmd_assets)
 
     return parser

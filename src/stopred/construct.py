@@ -32,14 +32,8 @@ def full_dual_pcm(c: LinearCode) -> Matrix:
     i.e. leading coefficient 1.
     """
     words = dual_codewords(c, include_zero=False)
-    if c.field.q > 2:
-        keep = []
-        for row in words:
-            lead = row[np.nonzero(row)[0][0]]
-            if int(lead) == 1:
-                keep.append(row)
-        words = np.array(keep, dtype=np.uint8)
-    return Matrix(c.field, words)
+    lead = words[np.arange(len(words)), np.argmax(words != 0, axis=1)]
+    return Matrix(c.field, words[lead == 1])
 
 
 def combination_pcm(h: Matrix, t_max: int) -> Matrix:

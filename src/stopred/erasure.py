@@ -30,7 +30,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._bits import (LATTICE_CHUNK, count_by_popcount, mask_to_positions,
-                    popcount, positions_to_mask, up_close, weight_masks)
+                    pack_words, popcount, positions_to_mask, up_close,
+                    weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
                      _enumerate_combinations, _rank_gf2, rank)
 
@@ -85,14 +86,18 @@ class PsiProfile:
         rows = [ln.strip() for ln in text.strip().splitlines()]
         if not rows or rows[0] != "w,count":
             raise ValueError("expected a 'w,count' CSV header")
+        header_line = text[:len(text) - len(text.lstrip())].count("\n") + 1
         pairs = {}
-        for ln in rows[1:]:
-            w_str, c_str = ln.split(",")
-            w = int(w_str)
+        for line, ln in enumerate(rows[1:], start=header_line + 1):
+            try:
+                w, count = map(int, ln.split(","))
+            except ValueError:
+                raise ValueError(f"line {line}: expected two integers "
+                                 f"'w,count', got {ln!r}") from None
             if w < 0 or w in pairs:
-                raise ValueError(f"weight {w} is "
+                raise ValueError(f"line {line}: weight {w} is "
                                  f"{'negative' if w < 0 else 'repeated'}")
-            pairs[w] = int(c_str)
+            pairs[w] = count
         n = max(pairs)
         counts: List[Optional[int]] = [pairs.get(w) for w in range(n + 1)]
         return cls(n, decoder, counts)
@@ -189,9 +194,8 @@ def _stopping_sets(row_masks: Sequence[int], n: int) -> np.ndarray:
 def _codeword_supports(c: LinearCode) -> np.ndarray:
     """Subset lattice with the support of every nonzero codeword set."""
     out = np.zeros(1 << c.n, dtype=bool)
-    place = np.int64(1) << np.arange(c.n, dtype=np.int64)
     for block in _enumerate_combinations(c.field, c.generator.data):
-        out[(block != 0).astype(np.int64) @ place] = True
+        out[pack_words(block != 0)[:, 0]] = True
     out[0] = False  # the zero codeword
     return out
 
@@ -279,12 +283,12 @@ def psi_ml(c: LinearCode, w_max: Optional[int] = None) -> PsiProfile:
     that is the cheaper way.
     """
     n, k, q = c.n, c.k, c.field.q
-    # a lattice subset costs 10 ns and a codeword 5 ns per symbol and
-    # generator row; a GF(2) pattern r^2 ns for r = n - k check rows (the
-    # per-weight path took 0.84-1.02 r^2 ns per pattern of weight <= r for
-    # r = 8..20 at n = 24, weight masks included), any other pattern
-    # 100 us in ml_decode
-    lattice_ns = (10 << n) + 5 * k * n * q ** k
+    # a lattice subset costs 10 ns and a codeword 15 ns per symbol (10-17
+    # ns for q = 2, 3, 5..13 and 4 ns for q = 4 at 729 to 4.8M codewords); a
+    # GF(2) pattern r^2 ns for r = n - k check rows (the per-weight path took
+    # 0.84-1.02 r^2 ns per pattern of weight <= r for r = 8..20 at n = 24,
+    # weight masks included), any other pattern 100 us in ml_decode
+    lattice_ns = (10 << n) + 15 * n * q ** k
     pattern_ns = (n - k) ** 2 if q == 2 else 100_000
     if (_on_lattice(n, w_max) and q ** k <= ENUM_GUARD
             and _lattice_cheaper(n, n - k, lattice_ns, pattern_ns)):

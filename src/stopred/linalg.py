@@ -2,6 +2,8 @@
 
 Matrices are dense numpy uint8 grids of element indices.  Reduced echelon
 form, rank, nullspace and codeword enumeration are generic over the field.
+Every codeword set comes from one span engine, `_enumerate_combinations`,
+which extends the span of a basis row by row with field adds.
 GF(2) ranks come from one elimination kernel, `_rank_gf2`, on vectors
 packed into ints; it takes one mask or an array of masks, so the same
 loop gives the rank of one column subset or of a batch of them.
@@ -19,6 +21,7 @@ from ._bits import pack_rows
 from .field import FieldSpec
 
 ENUM_GUARD = 1 << 26
+SPAN_BLOCK = 1 << 16  # codewords per enumerated block
 
 
 class EnumerationTooLargeError(ValueError):
@@ -154,20 +157,31 @@ def nullspace(m: Matrix) -> Matrix:
     return Matrix(m.field, basis)
 
 
-def _enumerate_combinations(field: FieldSpec, gen: np.ndarray,
-                            chunk: int = 1 << 16) -> Iterator[np.ndarray]:
-    """Yield chunks of all q^k row combinations of gen, message-counting order."""
-    k = gen.shape[0]
+def _enumerate_combinations(field: FieldSpec,
+                            gen: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield blocks of all q^k row combinations of gen, message-counting
+    order.  Last row first, row g turns the span S of the rows below it into
+    [S, S + g, ..., S + (q-1)g] while that fits SPAN_BLOCK words (the first
+    row always joins); each combination of the rows left, from this same
+    function, is then added to the whole block."""
+    k, n = gen.shape
     q = field.q
-    total = q ** k
-    if total > ENUM_GUARD:
+    if q ** k > ENUM_GUARD:
         raise EnumerationTooLargeError(
             f"{q}^{k} combinations exceed the 2^26 enumeration guard")
-    weights = np.array([q ** (k - 1 - j) for j in range(k)], dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = ((idx[:, None] // weights[None, :]) % q).astype(np.uint8)
-        yield mat_mul(field, msgs, gen).astype(np.uint8)
+    low = np.zeros((1, n), dtype=np.uint8)
+    split = k
+    while split and (len(low) == 1 or len(low) * q <= SPAN_BLOCK):
+        split -= 1
+        low = np.concatenate([low] + [
+            field.add_arr(low, field.scale_arr(c, gen[split])).astype(np.uint8)
+            for c in range(1, q)])
+    if not split:
+        yield low
+        return
+    for high in _enumerate_combinations(field, gen[:split]):
+        for word in high:
+            yield field.add_arr(low, word).astype(np.uint8)
 
 
 class LinearCode:
@@ -179,26 +193,26 @@ class LinearCode:
     """
 
     def __init__(self, field: FieldSpec, n: int, generator: Matrix,
-                 parity_check: Matrix, d: Optional[int] = None):
+                 parity_check: Matrix):
         self.field = field
         self.n = n
         self.generator = generator
         self.parity_check = parity_check
         self.k = generator.n_rows
-        self._d = d
+        self._d: Optional[int] = None
         self._d_witness: Optional[np.ndarray] = None
 
     @classmethod
-    def from_parity_check(cls, h: Matrix, d: Optional[int] = None) -> "LinearCode":
+    def from_parity_check(cls, h: Matrix) -> "LinearCode":
         gen = nullspace(h)
         pchk = rref(h)
-        return cls(h.field, h.n_cols, gen, pchk, d=d)
+        return cls(h.field, h.n_cols, gen, pchk)
 
     @classmethod
-    def from_generator(cls, g: Matrix, d: Optional[int] = None) -> "LinearCode":
+    def from_generator(cls, g: Matrix) -> "LinearCode":
         gen = rref(g)  # dependent input rows reduce to a basis
         pchk = nullspace(gen)
-        return cls(g.field, g.n_cols, gen, pchk, d=d)
+        return cls(g.field, g.n_cols, gen, pchk)
 
     def min_distance(self) -> int:
         """Minimum Hamming weight over nonzero codewords (cached)."""
@@ -221,13 +235,7 @@ class LinearCode:
 
     def min_weight_codeword(self) -> np.ndarray:
         """A codeword attaining the minimum distance (enumerates if needed)."""
-        if self._d_witness is None:
-            supplied = self._d
-            self._d = None
-            found = self.min_distance()
-            if supplied is not None and supplied != found:
-                raise ValueError(
-                    f"declared distance {supplied} contradicts enumeration ({found})")
+        self.min_distance()
         return self._d_witness
 
     def contains(self, vec: np.ndarray) -> bool:
@@ -252,9 +260,9 @@ def dual_codewords(c: LinearCode, include_zero: bool = False) -> np.ndarray:
 
     Position 0 is most significant; element indices order 0 < 1 < ... < q-1.
     The all-zero word sorts first and is dropped unless include_zero is set.
+    Over a reduced echelon basis, message-counting order is this order: two
+    messages first differ in the symbol at their first differing row's pivot.
     """
-    blocks = list(_enumerate_combinations(c.field, c.parity_check.data))
-    words = np.concatenate(blocks, axis=0) if blocks else np.zeros((1, c.n), np.uint8)
-    order = np.lexsort(words.T[::-1])
-    words = words[order]
+    words = np.concatenate(list(_enumerate_combinations(
+        c.field, rref(c.parity_check).data)))
     return words if include_zero else words[1:]

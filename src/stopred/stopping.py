@@ -87,27 +87,20 @@ def covers(row: Sequence[int], positions) -> bool:
     return int(np.count_nonzero(vec[list(pos)])) == 1
 
 
-# _REVERSED_BYTE[b] is the byte b with its bit order reversed.
-_REVERSED_BYTE = np.packbits(np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"),
-    axis=1).ravel()
-
-
 def _lex_first(sets: np.ndarray) -> int:
     """Index of the lexicographically first (as sorted position tuples) of
     equal-size column sets, given as rows of pack_words words.
 
     Of two sets of one size, the first holds the lowest column of their
-    difference; with the bits of every word reversed it is the larger one,
-    comparing word 0 first.
+    difference; so, column by column, keep only the sets that hold it
+    whenever any still kept does.
     """
-    byte_rows = sets.view(np.uint8).reshape(len(sets), -1, 8)
-    rev = _REVERSED_BYTE[byte_rows[..., ::-1]]  # each word bit-reversed
-    rev = np.ascontiguousarray(rev).view("<u8").reshape(len(sets), -1)
+    bits = unpack_words(sets)
     keep = np.arange(len(sets))
-    for w in range(rev.shape[1]):
-        col = rev[keep, w]
-        keep = keep[col == col.max()]
+    for col in range(bits.shape[1]):
+        held = keep[bits[keep, col] != 0]
+        if held.size:
+            keep = held
     return int(keep[0])
 
 

@@ -79,6 +79,20 @@ def ref_codewords(gen_rows, q):
     return out
 
 
+def ref_dual_codewords(gen_rows, q, n):
+    """Every length-n word orthogonal to all gen_rows, lexicographic order
+    (position 0 most significant), the zero word first."""
+    out = []
+    for word in product(range(q), repeat=n):
+        dots = [0] * len(gen_rows)
+        for i, row in enumerate(gen_rows):
+            for x, y in zip(word, row):
+                dots[i] = f_add(q, dots[i], f_mul(q, x, y))
+        if not any(dots):
+            out.append(word)
+    return out
+
+
 def ref_min_distance(gen_rows, q):
     best = None
     for word in ref_codewords(gen_rows, q):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,29 @@ def test_greedy_and_rho_exact_complete_the_span(capsys, tmp_path):
     assert m.n_rows == 2 and stopping_distance(m).s == 2
     code, out, _ = run_cli(capsys, "rho-exact", "--file", str(path))
     assert code == 0 and out == "2\n"
+
+
+@pytest.mark.parametrize("table, shown", [
+    ("w,count\n0,0,1\n1,1\n", "line 2: .*'0,0,1'"),
+    ("w,count\n0,0\n\n1,1\n", "line 3: .*''"),
+    ("w,count\n0,x\n1,1\n", "line 2: .*'0,x'"),
+], ids=["extra-field", "blank-line", "not-an-integer"])
+def test_malformed_psi_csv_names_the_line(capsys, tmp_path, table, shown):
+    path = tmp_path / "psi.csv"
+    path.write_text(table)
+    code, out, err = run_cli(capsys, "curve", "--psi", str(path),
+                             "--pgrid", "0.5")
+    assert code == 1 and out == "" and re.search(shown, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mindist", "--assets", "h12"], ["construct", "hstar", "--assets", "h12"],
+    ["greedy", "--assets", "h12"], ["assets", "h12"]],
+    ids=["mindist", "construct", "greedy", "assets"])
+def test_format_option_only_where_it_is_used(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "json"])
+    assert exc.value.code == 2
 
 
 def test_truncated_psi_csv_is_refused(capsys, tmp_path):

@@ -1,16 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import ref_min_distance, ref_rank
+from reference import (ref_codewords, ref_dual_codewords, ref_min_distance,
+                       ref_rank)
+from stopred import linalg
 from stopred._bits import mask_dtype, mask_to_positions, pack_rows, pack_words
 from stopred.cli import load_asset
+from stopred.construct import full_dual_pcm
 from stopred.field import make_field
 from stopred.linalg import (EnumerationTooLargeError, LinearCode, Matrix,
-                            _rank_generic, _rank_gf2, dual_codewords,
-                            enumerate_codewords, mat_mul, min_distance,
-                            nullspace, rank)
+                            _enumerate_combinations, _rank_generic, _rank_gf2,
+                            dual_codewords, enumerate_codewords, mat_mul,
+                            min_distance, nullspace, rank)
 
 
 def test_rank_zero_matrix(gf2):
@@ -185,6 +190,45 @@ def test_enumerate_codewords_counts(hexacode, hamming74):
     ham_words = list(enumerate_codewords(hamming74))
     assert len(ham_words) == 16
     assert sum(1 for w in ham_words if np.count_nonzero(w) == 3) == 7
+
+
+@st.composite
+def generator_bases(draw):
+    """(q, n, rows): k = 0..n random rows over GF(2), GF(3) or GF(4), in no
+    particular form and possibly dependent."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(0, n))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=k, max_size=k))
+    return q, n, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_bases(), st.sampled_from([1, 8, linalg.SPAN_BLOCK]))
+def test_span_engine_matches_reference(basis, block):
+    # SPAN_BLOCK = 1 or 8 leaves high rows, whose combinations are added to
+    # the low block one by one; the code's parity check is a nullspace basis,
+    # not in echelon form, so dual_codewords must reduce it to come out sorted
+    q, n, rows = basis
+    f = make_field(q)
+    data = np.array(rows, np.uint8).reshape(len(rows), n)
+    code = LinearCode.from_generator(Matrix(f, data))  # an rref generator
+    gen = code.generator.data.tolist()
+    with mock.patch.object(linalg, "SPAN_BLOCK", block):
+        raw = np.concatenate(list(_enumerate_combinations(f, data)))
+        words = [tuple(w) for w in enumerate_codewords(code)]
+        dual = dual_codewords(code, include_zero=True).tolist()
+        hstar = full_dual_pcm(code).data.tolist()
+    zero = [(0,) * n]
+    assert [tuple(w) for w in raw.tolist()] == (
+        ref_codewords(rows, q) if rows else zero)
+    assert words == (ref_codewords(gen, q) if gen else zero)
+    want = ref_dual_codewords(rows, q, n)
+    assert [tuple(w) for w in dual] == want
+    assert all(a < b for a, b in zip(dual, dual[1:]))
+    assert hstar == [list(w) for w in want[1:]
+                     if next(x for x in w if x) == 1]
 
 
 def test_codewords_orthogonal_to_checks(golay12):
