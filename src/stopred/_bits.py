@@ -127,13 +127,14 @@ def mask_to_positions(mask: int) -> tuple:
     return tuple(out)
 
 
-def weight_masks_upto(n: int, w_max: int) -> List[np.ndarray]:
+def weight_masks_upto(n: int, w_max: int, dtype=None) -> List[np.ndarray]:
     """All bitmasks over n bits of each weight 0..w_max, one array per weight.
 
     Each array is sorted ascending (= colex order on subsets).  Memory is the
     caller's concern: the total length is sum(C(n, w) for w <= w_max).
+    dtype defaults to mask_dtype(n); `object` gives Python ints of any width.
     """
-    dt = mask_dtype(n)
+    dt = mask_dtype(n) if dtype is None else np.dtype(dtype)
     levels: List[np.ndarray] = [np.zeros(1, dtype=dt)]
     for pos in range(n):
         bit = dt.type(1 << pos)

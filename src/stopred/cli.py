@@ -124,11 +124,6 @@ W w 1 0 1 0
 """,
 }
 
-ASSET_STOPPING_DISTANCE = {
-    "h24": 4, "hp24": 8, "h12": 3, "hp12": 6, "hexacode": 4,
-}
-
-
 def parse_matrix_text(text: str) -> Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
-from typing import Iterator, List, Tuple
+from typing import Collection, List, Tuple
 
 import numpy as np
 
+from ._bits import mask_to_positions, weight_masks_upto
+from .bounds import rm_row_count
 from .field import make_field
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
                      _rank_gf2, dual_codewords, mat_mul, nullspace, rank)
@@ -119,11 +121,19 @@ def _rm_validate(r: int, m: int) -> None:
         raise ValueError(f"invalid Reed-Muller index r={r}, m={m}")
 
 
+def _rm_guard(rows: int, m: int) -> None:
+    """Refuse a rows x 2^m matrix beyond ENUM_GUARD before building it."""
+    if rows << m > ENUM_GUARD:
+        raise EnumerationTooLargeError(
+            f"{rows} rows of length 2^{m} exceed the 2^26 guard")
+
+
 def rm_generator(r: int, m: int) -> Matrix:
     """Recursive generator matrix of the Reed-Muller code RM(r, m)."""
     _rm_validate(r, m)
     if r < 0:
         raise ValueError("RM(-1, m) is the zero code; it has no generator")
+    _rm_guard(sum(comb(m, i) for i in range(r + 1)), m)
     gf2 = make_field(2)
 
     def build(rr: int, mm: int) -> np.ndarray:
@@ -149,6 +159,7 @@ def rm_stopping_pcm(r: int, m: int) -> Matrix:
     _rm_validate(r, m)
     if r < 0:
         raise ValueError("RM(-1, m) is the zero code; it has no check matrix")
+    _rm_guard(rm_row_count(r, m) if r < m else 1 << m, m)
     gf2 = make_field(2)
 
     def build(rr: int, mm: int) -> np.ndarray:
@@ -164,16 +175,6 @@ def rm_stopping_pcm(r: int, m: int) -> Matrix:
         ])
 
     return Matrix(gf2, build(r, m))
-
-
-def colex_combinations(n: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """k-subsets of range(n) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, n):
-        for prefix in colex_combinations(last, k - 1):
-            yield prefix + (last,)
 
 
 def _mds_params(c: LinearCode) -> Tuple[int, int, int]:
@@ -202,6 +203,18 @@ def _support_row(c: LinearCode, support: Tuple[int, ...]) -> np.ndarray:
     return c.field.scale_arr(c.field.inv(int(row[nz[0]])), row).astype(np.uint8)
 
 
+def _support_rows(c: LinearCode, w: int,
+                  skip: Collection[Tuple[int, ...]] = ()) -> Matrix:
+    """_support_row of every weight-w support not in `skip`, in
+    colexicographic order (= ascending masks)."""
+    if comb(c.n, w) > (1 << 22):
+        raise EnumerationTooLargeError("C(n, d-2) exceeds the 2^22 guard")
+    supports = (mask_to_positions(m)
+                for m in weight_masks_upto(c.n, w, object)[w])
+    rows = [_support_row(c, s) for s in supports if s not in skip]
+    return Matrix(c.field, np.array(rows, dtype=np.uint8).reshape(-1, c.n))
+
+
 def mds_pcm(c: LinearCode) -> Matrix:
     """One dual codeword per (n-d+2)-subset of positions, supports exact.
 
@@ -211,11 +224,7 @@ def mds_pcm(c: LinearCode) -> Matrix:
     n, _, d = _mds_params(c)
     if d < 2:
         raise ValueError("construction needs d >= 2")
-    if comb(n, d - 2) > (1 << 22):
-        raise EnumerationTooLargeError("C(n, d-2) exceeds the 2^22 guard")
-    d_perp = n - d + 2
-    rows = [_support_row(c, s) for s in colex_combinations(n, d_perp)]
-    return Matrix(c.field, np.array(rows, dtype=np.uint8))
+    return _support_rows(c, n - d + 2)
 
 
 def graham_sloane_partition(n: int, w: int) -> List[List[Tuple[int, ...]]]:
@@ -250,10 +259,7 @@ def pruned_mds_pcm(c: LinearCode) -> Matrix:
     removed = set()
     for cls in graham_sloane_partition(n, d_perp)[:m]:
         removed.update(cls)
-    full = mds_pcm(c)
-    keep = [i for i, s in enumerate(colex_combinations(n, d_perp))
-            if s not in removed]
-    return Matrix(c.field, full.data[keep])
+    return _support_rows(c, d_perp, removed)
 
 
 def weight_one_combination_depth(t: int) -> int:

@@ -86,6 +86,8 @@ class PsiProfile:
         rows = [ln.strip() for ln in text.strip().splitlines()]
         if not rows or rows[0] != "w,count":
             raise ValueError("expected a 'w,count' CSV header")
+        if len(rows) == 1:
+            raise ValueError("no weight rows follow the 'w,count' header")
         header_line = text[:len(text) - len(text.lstrip())].count("\n") + 1
         pairs = {}
         for line, ln in enumerate(rows[1:], start=header_line + 1):

@@ -1,12 +1,17 @@
 """Greedy lexicographic search for small full-stopping-distance matrices,
 and an exact minimum-row search for tiny codes.
 
-The greedy rule: among all nonzero dual codewords (lexicographic order),
-repeatedly adjoin the first one of maximal score, where a word scores i
-points for every yet-uncovered i-set it covers (i = 1..d-1).  Scores only
-decrease as coverage grows, so a lazy priority queue evaluates only the
-few candidates that can still be maximal; the selection is identical to
-rescoring everything each round.
+Both searches solve one cover problem.  The candidates are the projective
+dual classes, one lead-1 word each, in lexicographic order (the rows of
+`full_dual_pcm`); scalar multiples share a support, so they cover alike.
+The sets to cover are the i-sets, i = 1..d-1, and a word covers a set it
+meets in exactly one position.
+
+The greedy rule repeatedly adjoins the first candidate of maximal score,
+where a word scores i points for every yet-uncovered i-set it covers.
+Scores only decrease as coverage grows, so a lazy priority queue rescores
+only the few candidates that can still be maximal; the selection is
+identical to rescoring everything each round.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from typing import List
 import numpy as np
 
 from ._bits import (mask_dtype, mask_to_positions, pack_rows, popcount,
-                    weight_masks, weight_masks_upto)
+                    weight_masks_upto)
 from .construct import full_dual_pcm
-from .linalg import LinearCode, Matrix, dual_codewords, rank
+from .linalg import LinearCode, Matrix, rank
 from .stopping import stopping_distance
 
 UNIVERSE_GUARD = 1 << 24
@@ -47,64 +52,42 @@ def greedy_construct(c: LinearCode, weighted: bool = True) -> Matrix:
     n = c.n
     if sum(comb(n, i) for i in range(1, d)) > UNIVERSE_GUARD:
         raise ValueError("tracked i-set universe exceeds the 2^24 guard")
-    words = dual_codewords(c, include_zero=False)
-    masks = Matrix(c.field, words).row_masks()
-    dt = mask_dtype(n)
-    cand = [dt.type(m) for m in masks]
-    cand_weight = [m.bit_count() for m in masks]
-    size_weight = {i: (i if weighted else 1) for i in range(1, d)}
-
-    uncovered = {i: weight_masks(n, i) for i in range(1, d)}
+    classes = full_dual_pcm(c)
+    masks = classes.row_masks()
+    cand = np.array(masks, dtype=mask_dtype(n))
+    # (points per set, the uncovered i-sets) for each size i = 1..d-1 with
+    # any left
+    points = [i if weighted else 1 for i in range(1, d)]
+    uncovered = list(zip(points, weight_masks_upto(n, d - 1)[1:]))
 
     def score_of(idx: int) -> int:
-        total = 0
-        cm = cand[idx]
-        for i, level in uncovered.items():
-            if level.size:
-                total += size_weight[i] * int(
-                    np.count_nonzero(popcount(level & cm) == 1))
-        return total
+        return sum(p * int(np.count_nonzero(popcount(level & cand[idx]) == 1))
+                   for p, level in uncovered)
 
-    # Iteration 0 scores have a closed form: every i-set is still uncovered,
-    # so a weight-w word covers exactly w * C(n-w, i-1) of each size.
-    score_cache = [
-        sum(size_weight[i] * w * comb(n - w, i - 1) for i in range(1, d))
-        for w in cand_weight
-    ]
-    stamp = [0] * len(cand)
-    round_no = 0
-    heap = [(-s, idx) for idx, s in enumerate(score_cache)]
+    # Round 0 has a closed form: every i-set is still uncovered, so a
+    # weight-w word covers exactly w * C(n-w, i-1) of each size.
+    heap = [(-sum(p * w * comb(n - w, i) for i, p in enumerate(points)),
+             idx, 0) for idx, w in enumerate(m.bit_count() for m in masks)]
     heapq.heapify(heap)
-
     chosen: List[int] = []
-    while any(level.size for level in uncovered.values()):
+    while uncovered:
+        # (-score, idx, round scored): an entry scored this round tops
+        # every upper bound left in the heap, so it is the first maximal
         while True:
             if not heap:
                 raise ValueError("coverage unreachable; dual words exhausted")
-            neg, idx = heapq.heappop(heap)
-            if -neg != score_cache[idx]:
-                continue  # superseded entry
-            if stamp[idx] == round_no:
+            neg, idx, scored = heapq.heappop(heap)
+            if scored == len(chosen):
                 break
-            fresh = score_of(idx)
-            score_cache[idx] = fresh
-            stamp[idx] = round_no
-            if fresh == -neg:
-                break
-            heapq.heappush(heap, (-fresh, idx))
-        if score_cache[idx] == 0:
+            heapq.heappush(heap, (-score_of(idx), idx, len(chosen)))
+        if neg == 0:
             raise ValueError("coverage unreachable with the available dual words")
         chosen.append(idx)
-        cm = cand[idx]
-        for i in list(uncovered):
-            level = uncovered[i]
-            if level.size:
-                uncovered[i] = level[popcount(level & cm) != 1]
-        heapq.heappush(heap, (-score_cache[idx], idx))
-        round_no += 1
+        uncovered = [(p, rest) for p, level in uncovered
+                     if (rest := level[popcount(level & cand[idx]) != 1]).size]
 
     # the cover need not span the dual: complete it with the code's checks
-    out = Matrix(c.field, words[chosen])
+    out = Matrix(c.field, classes.data[chosen])
     got = rank(out)
     for row in c.parity_check.data:
         if got == n - c.k:
@@ -134,9 +117,8 @@ def exact_stopping_redundancy(c: LinearCode,
         raise ValueError(f"{classes.n_rows} projective dual classes exceed the "
                          f"{CLASS_GUARD} search guard")
     reps = classes.data
-    best = [greedy_construct(c).n_rows]
-    nodes = [0]
-    aborted = [False]
+    best = greedy_construct(c).n_rows
+    nodes = 0
 
     # the i-sets (i = 1..d-1) by size, then ascending; cover[ci] and
     # coverers[si] pack "candidate ci covers set si" both ways
@@ -146,34 +128,30 @@ def exact_stopping_redundancy(c: LinearCode,
     cover = pack_rows(hits)
     coverers = pack_rows(hits.T)
 
-    def dfs(uncovered: int, banned: int, chosen: List[int]) -> None:
-        if aborted[0]:
-            return
+    def deficit(chosen: List[int]) -> int:
+        """Rows still needed to span the dual after the chosen classes."""
+        return (n - k) - rank(Matrix(c.field, reps[chosen]))
+
+    def dfs(uncovered: int, banned: int, chosen: List[int]) -> bool:
+        """Search below one node; False once the node budget is spent."""
+        nonlocal best, nodes
         count = len(chosen)
         if uncovered == 0:
-            value = count + max(0, (n - k) - rank(Matrix(c.field, reps[chosen])))
-            if value < best[0]:
-                best[0] = value
-            return
-        nodes[0] += 1
-        if nodes[0] > budget:
-            aborted[0] = True
-            return
-        allowance = best[0] - 1 - count
+            best = min(best, count + deficit(chosen))
+            return True
+        nodes += 1
+        if nodes > budget:
+            return False
+        allowance = best - 1 - count
         if allowance <= 0:
-            return
-        max_cover = 0
-        for ci, bits in enumerate(cover):
-            if not (banned >> ci) & 1:
-                got = (bits & uncovered).bit_count()
-                if got > max_cover:
-                    max_cover = got
-        if max_cover == 0:
-            return
-        lb = max(-(-uncovered.bit_count() // max_cover),
-                 (n - k) - rank(Matrix(c.field, reps[chosen])))
-        if lb > allowance:
-            return
+            return True
+        max_cover = max(((bits & uncovered).bit_count()
+                         for ci, bits in enumerate(cover)
+                         if not (banned >> ci) & 1), default=0)
+        if (max_cover == 0
+                or -(-uncovered.bit_count() // max_cover) > allowance
+                or deficit(chosen) > allowance):
+            return True
         # branch on the first uncovered set with the fewest free coverers
         free = ~banned
         rest, target, fewest = uncovered, 0, None
@@ -185,12 +163,11 @@ def exact_stopping_redundancy(c: LinearCode,
                 target, fewest = si, avail
                 if avail <= 1:
                     break
-        ban = banned
         for ci in mask_to_positions(coverers[target] & free):
-            dfs(uncovered & ~cover[ci], ban, chosen + [ci])
-            ban |= 1 << ci
-            if aborted[0]:
-                return
+            if not dfs(uncovered & ~cover[ci], banned, chosen + [ci]):
+                return False
+            banned |= 1 << ci
+        return True
 
-    dfs((1 << len(sets)) - 1, 0, [])
-    return RedundancyResult(best[0], exact=not aborted[0])
+    exact = dfs((1 << len(sets)) - 1, 0, [])
+    return RedundancyResult(best, exact)

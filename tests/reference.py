@@ -142,3 +142,38 @@ def ref_ml_fails(gen_rows, q, pattern):
         if support and support <= pos:
             return True
     return False
+
+
+def ref_greedy(check_rows, q, weighted=True):
+    """The greedy cover from its definition: each round rescore every
+    nonzero dual word (lexicographic order) and adjoin the first of maximal
+    score, a word scoring i (or 1, unweighted) for each uncovered i-set,
+    i < d, that it meets exactly once.  Then append the check rows that
+    raise the rank until the rows span the dual."""
+    n = len(check_rows[0])
+    d = min(sum(1 for x in word if x)
+            for word in ref_dual_codewords(check_rows, q, n) if any(word))
+    words = sorted(set(w for w in ref_codewords(check_rows, q) if any(w)))
+    uncovered = [s for i in range(1, d) for s in combinations(range(n), i)]
+
+    def covers(word, s):
+        return sum(1 for j in s if word[j]) == 1
+
+    chosen = []
+    while uncovered:
+        scores = [sum(len(s) if weighted else 1
+                      for s in uncovered if covers(word, s)) for word in words]
+        best = max(scores)
+        if best == 0:
+            raise ValueError("coverage unreachable")
+        word = words[scores.index(best)]
+        chosen.append(word)
+        uncovered = [s for s in uncovered if not covers(word, s)]
+    out = [list(w) for w in chosen]
+    target = ref_rank(check_rows, q)
+    for row in check_rows:
+        if ref_rank(out, q) == target:
+            break
+        if ref_rank(out + [list(row)], q) > ref_rank(out, q):
+            out.append(list(row))
+    return out

@@ -132,6 +132,15 @@ def test_construct_rm(capsys):
     assert m.n_rows == 5 and m.n_cols == 8
 
 
+@pytest.mark.parametrize("extra", [[], ["--generator"]],
+                         ids=["stopping", "generator"])
+def test_construct_rm_guard(capsys, extra):
+    # refused from the closed-form row count, before any allocation
+    code, out, err = run_cli(capsys, "construct", "rm", "--r", "2",
+                             "--m", "40", *extra)
+    assert code == 1 and out == "" and "2^26 guard" in err
+
+
 def test_construct_mds(capsys):
     code, out, _ = run_cli(capsys, "construct", "mds", "--assets", "hexacode")
     assert code == 0
@@ -200,6 +209,15 @@ def test_malformed_psi_csv_names_the_line(capsys, tmp_path, table, shown):
     code, out, err = run_cli(capsys, "curve", "--psi", str(path),
                              "--pgrid", "0.5")
     assert code == 1 and out == "" and re.search(shown, err)
+
+
+def test_header_only_psi_csv_is_refused(capsys, tmp_path):
+    path = tmp_path / "psi.csv"
+    path.write_text("w,count\n")
+    code, out, err = run_cli(capsys, "curve", "--psi", str(path),
+                             "--pgrid", "0.5")
+    assert code == 1 and out == ""
+    assert "no weight rows follow the 'w,count' header" in err
 
 
 @pytest.mark.parametrize("argv", [

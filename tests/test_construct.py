@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stopred._bits import mask_to_positions, weight_masks
 from stopred.cli import load_asset
 from stopred.field import make_field
 from stopred.linalg import LinearCode, Matrix, mat_mul, rank
-from stopred.construct import (NotMDSError, colex_combinations,
-                               combination_pcm, direct_sum_pcm, extend_pcm,
-                               full_dual_pcm, graham_sloane_partition,
-                               mds_pcm, pruned_mds_pcm, rm_generator,
+from stopred.construct import (NotMDSError, combination_pcm, direct_sum_pcm,
+                               extend_pcm, full_dual_pcm,
+                               graham_sloane_partition, mds_pcm,
+                               pruned_mds_pcm, rm_generator,
                                rm_stopping_pcm, uu_pcm,
                                weight_one_combination_depth)
 from stopred.greedy import greedy_construct
@@ -230,9 +231,15 @@ def test_rm_index_validation():
         rm_generator(-1, 3)
 
 
-def test_colex_order():
-    got = list(colex_combinations(5, 3))
-    assert got == sorted(combinations(range(5), 3), key=lambda t: t[::-1])
+def test_colex_order(hexacode):
+    # MDS rows follow their supports in colexicographic order, which is
+    # ascending mask order
+    full = mds_pcm(hexacode).row_masks()
+    assert full == [int(m) for m in weight_masks(6, 4)]
+    pruned = pruned_mds_pcm(hexacode).row_masks()
+    assert pruned == sorted(set(pruned)) and set(pruned) < set(full)
+    assert [mask_to_positions(int(m)) for m in weight_masks(5, 3)] == \
+        sorted(combinations(range(5), 3), key=lambda t: t[::-1])
 
 
 def test_mds_pcm_hexacode(hexacode):

@@ -2,10 +2,11 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import ref_codewords, ref_rank, ref_stopping_distance
+from reference import (ref_codewords, ref_greedy, ref_rank,
+                       ref_stopping_distance)
 from stopred.cli import load_asset
 from stopred.construct import rm_generator
 from stopred.field import make_field
@@ -117,6 +118,17 @@ def test_greedy_completes_the_span():
     assert exact_stopping_redundancy(code) == RedundancyResult(2, exact=True)
 
 
+def test_exact_rank_bound_prunes_the_root():
+    # three [2,1,2] repetition codes: the all-ones word covers every 1-set,
+    # so only the rank deficit (3 > 2 rows left under the greedy 3) proves
+    # the greedy matrix optimal, in one node
+    code = LinearCode.from_parity_check(Matrix(make_field(2), [
+        [1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]))
+    assert greedy_construct(code).n_rows == 3
+    assert exact_stopping_redundancy(code, budget=1) == \
+        RedundancyResult(3, exact=True)
+
+
 def _brute_force_redundancy(rows, q, n):
     """Fewest projective dual classes that span the dual and reach s = d,
     from the definitions alone."""
@@ -159,6 +171,35 @@ def test_greedy_and_exact_match_brute_force(case):
     assert verify_full_stopping(code, h)
     assert exact_stopping_redundancy(code) == \
         RedundancyResult(_brute_force_redundancy(rows, q, n), exact=True)
+
+
+@st.composite
+def greedy_cases(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(2, {2: 8, 3: 7}.get(q, 6)))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    return q, n, rows, draw(st.booleans())
+
+
+# a [6, 3] binary code whose weighted and uniform covers differ
+WEIGHTS_MATTER = [[1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 0, 1], [1, 0, 0, 1, 1, 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(greedy_cases())
+@example((2, 6, WEIGHTS_MATTER, True))
+@example((2, 6, WEIGHTS_MATTER, False))
+def test_greedy_matches_reference(case):
+    # the lazy heap over projective classes picks what rescoring every
+    # dual word each round picks
+    q, n, rows, weighted = case
+    code = LinearCode.from_parity_check(Matrix(make_field(q), rows))
+    assume(1 <= n - code.k < n)
+    h = greedy_construct(code, weighted)
+    assert h.data.tolist() == ref_greedy(code.parity_check.data.tolist(), q,
+                                         weighted)
 
 
 def test_exact_budget_exhaustion(hexacode):
