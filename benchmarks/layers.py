@@ -57,6 +57,12 @@ def decode_patterns(n: int, seed: int) -> list:
             for _ in range(DECODE_PATTERNS)]
 
 
+def digest(m) -> str:
+    """sha256 of a Matrix's shape and entries."""
+    return hashlib.sha256(repr(m.data.shape).encode()
+                          + m.data.tobytes()).hexdigest()
+
+
 def layers() -> dict:
     """name -> (zero-argument call, calls per run, answer -> JSON value)."""
     import stopred
@@ -81,6 +87,12 @@ def layers() -> dict:
     rs13 = Matrix(field.make_field(13),
                   [[pow(x, i, 13) for x in range(13)] for i in range(8)])
     thm4 = construct.combination_pcm(h24, 6)  # 2509 rows
+    # distances are cached on a code: find them before the timed builds
+    rs13_code = code_of(rs13)
+    rep70 = LinearCode.from_generator(  # [70, 1, 70]: 2415 rows of weight 2
+        Matrix(field.make_field(2), np.ones((1, 70), dtype=np.uint8)))
+    for c in (rs13_code, rep70):
+        c.min_distance()
     out = {
         "row_masks hp24": (hp24.row_masks, 1, lambda m: sum(m) % 1_000_003),
     }
@@ -139,6 +151,13 @@ def layers() -> dict:
             lambda: stopred.exact_stopping_redundancy(code_of(Matrix(
                 field.make_field(3), np.array(points, dtype=np.uint8).T))),
             1, lambda r: [r.value, r.exact]),
+        "mds_pcm rs13": (lambda: construct.mds_pcm(rs13_code), 1, digest),
+        "pruned_mds_pcm rs13": (
+            lambda: construct.pruned_mds_pcm(rs13_code), 1, digest),
+        "mds_pcm rep70": (lambda: construct.mds_pcm(rep70), 1, digest),
+        "from_parity_check rm26-checks": (
+            lambda: code_of(rm26_checks), 1,
+            lambda c: [digest(c.generator), digest(c.parity_check)]),
         "nullspace rm26": (lambda: stopred.nullspace(rm26), 1,
                            lambda m: m.n_rows),
         "nullspace hp24": (lambda: stopred.nullspace(hp24), 1,

@@ -128,10 +128,13 @@ def parse_matrix_text(text: str) -> Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError("header must be two integers: q n")
-    q, n = int(header[0]), int(header[1])
+    try:
+        q, n = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"header must be two integers: q n, got {lines[0]!r}"
+                         ) from None
+    if n < 1:
+        raise ValueError(f"header column count n must be >= 1, got {n}")
     f = make_field(q)
     if len(lines) < 2:
         raise ValueError("matrix file needs at least one row")

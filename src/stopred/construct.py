@@ -17,7 +17,7 @@ from ._bits import mask_to_positions, weight_masks_upto
 from .bounds import rm_row_count
 from .field import make_field
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _rank_gf2, dual_codewords, mat_mul, nullspace, rank)
+                     _rank_gf2, _rref, dual_codewords, rank)
 
 
 class NotMDSError(ValueError):
@@ -68,7 +68,7 @@ def combination_pcm(h: Matrix, t_max: int) -> Matrix:
                 for coeffs in product(range(1, q), repeat=size):
                     acc = np.zeros(h.n_cols, dtype=np.uint8)
                     for cf, j in zip(coeffs, subset):
-                        acc = h.field.add_arr(acc, h.field.scale_arr(cf, data[j]))
+                        acc = h.field.add_arr(acc, h.field.mul_arr(data[j], cf))
                     rows.append(acc.astype(np.uint8))
     return Matrix(h.field, np.array(rows, dtype=np.uint8))
 
@@ -185,22 +185,19 @@ def _mds_params(c: LinearCode) -> Tuple[int, int, int]:
 
 
 def _support_row(c: LinearCode, support: Tuple[int, ...]) -> np.ndarray:
-    """The dual codeword supported exactly on `support`, leading entry 1."""
-    h0 = c.parity_check.data
-    others = [j for j in range(c.n) if j not in support]
-    vanish = Matrix(c.field, h0[:, others].T if others else
-                    np.zeros((0, h0.shape[0]), np.uint8))
-    sol = nullspace(vanish)  # combination coefficients vanishing off-support
-    if sol.n_rows != 1:
-        raise NotMDSError(
-            f"positions {support} admit {sol.n_rows} independent dual words; "
-            "input is not MDS")
-    row = mat_mul(c.field, sol.data, h0)[0].astype(np.uint8)
-    nz = np.nonzero(row)[0]
-    if tuple(int(j) for j in nz) != support:
+    """The dual codeword supported exactly on `support`, leading entry 1.
+
+    The n-k check rows reduced with the off-support columns first: in an MDS
+    code those n-k-1 columns are independent, so the last row vanishes on
+    them and has its pivot 1 at the first support column.  If they are
+    dependent, that pivot falls later and the support check fails."""
+    cols = [j for j in range(c.n) if j not in support] + list(support)
+    row = np.zeros(c.n, dtype=np.uint8)
+    row[cols] = _rref(c.field, c.parity_check.data[:, cols])[0][-1]
+    if tuple(np.flatnonzero(row).tolist()) != support:
         raise NotMDSError(
             f"no dual codeword with full support on {support}; input is not MDS")
-    return c.field.scale_arr(c.field.inv(int(row[nz[0]])), row).astype(np.uint8)
+    return row
 
 
 def _support_rows(c: LinearCode, w: int,

@@ -209,6 +209,8 @@ def _count_by_weight(n: int, r: int, w_max: Optional[int],
     nonzero, for each weight up to w_max, except where a shortcut below
     gives the count exactly.  A level is tested LATTICE_CHUNK masks at a
     time, which bounds the decoders' per-row scratch arrays."""
+    if w_max is not None and w_max < 0:
+        raise ValueError(f"w_max must be >= 0, got {w_max}")
     limit = n if w_max is None else min(w_max, n)
     counts: List[Optional[int]] = [None] * (n + 1)
     for w in range(n + 1):

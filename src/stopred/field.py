@@ -2,8 +2,8 @@
 
 Elements are plain ints in [0, q).  GF(4) uses the polynomial basis
 x^2 = x + 1 with elements ordered 0, 1, w, W (W = w + 1 = w^2), so addition
-is XOR of indices.  Prime fields use ordinary modular arithmetic.  Complete
-add/mul/neg/inv tables are built once per field and cached.
+is XOR of indices, as in GF(2).  Prime fields use ordinary modular
+arithmetic.  Complete add/mul/neg/inv tables are built once per field.
 """
 
 from __future__ import annotations
@@ -73,12 +73,12 @@ class FieldSpec:
     # Vectorized variants used by the linear-algebra layer.
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == "gf4":
+        if self.q % 2 == 0:
             return np.bitwise_xor(a, b)
         return (a.astype(np.int64) + b) % self.q
 
     def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == "gf4":
+        if self.q % 2 == 0:
             return np.bitwise_xor(a, b)
         return (a.astype(np.int64) - b) % self.q
 
@@ -86,11 +86,6 @@ class FieldSpec:
         if self.kind == "gf4":
             return _GF4_MUL[a, b]
         return (a.astype(np.int64) * b) % self.q
-
-    def scale_arr(self, c: int, a: np.ndarray) -> np.ndarray:
-        if self.kind == "gf4":
-            return _GF4_MUL[c, a]
-        return (int(c) * a.astype(np.int64)) % self.q
 
     def __repr__(self) -> str:  # keep dataclass tables out of reprs
         return f"FieldSpec(q={self.q}, kind={self.kind!r})"

@@ -1,7 +1,7 @@
 """Matrices and linear codes over GF(q).
 
-Matrices are dense numpy uint8 grids of element indices.  Reduced echelon
-form, rank, nullspace and codeword enumeration are generic over the field.
+Matrices are dense numpy uint8 grids of element indices, over any field.
+One `_rref` gives a matrix's row basis and, by `_kernel`, its nullspace.
 Every codeword set comes from one span engine, `_enumerate_combinations`,
 which extends the span of a basis row by row with field adds.
 GF(2) ranks come from one elimination kernel, `_rank_gf2`, on vectors
@@ -98,7 +98,7 @@ def _rref(field: FieldSpec, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
         p = r + int(nz[0])
         if p != r:
             a[[r, p]] = a[[p, r]]
-        a[r] = field.scale_arr(field.inv(int(a[r, c])), a[r])
+        a[r] = field.mul_arr(a[r], field.inv(int(a[r, c])))
         col = a[:, c].copy()
         col[r] = 0
         if np.any(col):
@@ -144,17 +144,19 @@ def rref(m: Matrix) -> Matrix:
     return Matrix(m.field, a[: len(pivots)])
 
 
+def _kernel(field: FieldSpec, a: np.ndarray, pivots: List[int]) -> Matrix:
+    """Kernel basis of an `_rref` result: free column f gets the row with 1
+    at f and -a[r, f] at the pivot column of each row r."""
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.uint8)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = field.neg_table[a[:len(pivots), free]].T
+    return Matrix(field, basis)
+
+
 def nullspace(m: Matrix) -> Matrix:
     """Rows form a basis of { x : M x = 0 }; row count = n_cols - rank."""
-    a, pivots = _rref(m.field, m.data)
-    n = m.n_cols
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = m.field.neg(int(a[r, f]))
-    return Matrix(m.field, basis)
+    return _kernel(m.field, *_rref(m.field, m.data))
 
 
 def _enumerate_combinations(field: FieldSpec,
@@ -174,7 +176,7 @@ def _enumerate_combinations(field: FieldSpec,
     while split and (len(low) == 1 or len(low) * q <= SPAN_BLOCK):
         split -= 1
         low = np.concatenate([low] + [
-            field.add_arr(low, field.scale_arr(c, gen[split])).astype(np.uint8)
+            field.add_arr(low, field.mul_arr(gen[split], c)).astype(np.uint8)
             for c in range(1, q)])
     if not split:
         yield low
@@ -204,15 +206,15 @@ class LinearCode:
 
     @classmethod
     def from_parity_check(cls, h: Matrix) -> "LinearCode":
-        gen = nullspace(h)
-        pchk = rref(h)
-        return cls(h.field, h.n_cols, gen, pchk)
+        a, pivots = _rref(h.field, h.data)
+        return cls(h.field, h.n_cols, _kernel(h.field, a, pivots),
+                   Matrix(h.field, a[:len(pivots)]))
 
     @classmethod
     def from_generator(cls, g: Matrix) -> "LinearCode":
-        gen = rref(g)  # dependent input rows reduce to a basis
-        pchk = nullspace(gen)
-        return cls(g.field, g.n_cols, gen, pchk)
+        a, pivots = _rref(g.field, g.data)  # dependent rows reduce away
+        return cls(g.field, g.n_cols, Matrix(g.field, a[:len(pivots)]),
+                   _kernel(g.field, a, pivots))
 
     def min_distance(self) -> int:
         """Minimum Hamming weight over nonzero codewords (cached)."""

@@ -169,6 +169,26 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert code == 1 and "unsupported" in err
 
 
+@pytest.mark.parametrize("kind", ["stop", "ml"])
+def test_negative_wmax_is_refused(capsys, kind):
+    code, out, err = run_cli(capsys, "psi", kind, "--assets", "h12",
+                             "--wmax", "-1", "--format", "csv")
+    assert code == 1 and out == ""
+    assert err == "error: w_max must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 x\n1 0\n", "header must be two integers: q n, got '2 x'"),
+    ("2\n1 0\n", "header must be two integers: q n, got '2'"),
+    ("2 -2\n1 0\n", "header column count n must be >= 1, got -2"),
+    ("2 0\n\n", "header column count n must be >= 1, got 0"),
+], ids=["not-an-integer", "one-token", "negative-n", "zero-n"])
+def test_matrix_header_errors_name_the_header(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_matrix_text(text)
+    assert str(exc.value) == message
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -10,7 +10,8 @@ from stopred._bits import mask_to_positions, weight_masks
 from stopred.cli import load_asset
 from stopred.field import make_field
 from stopred.linalg import LinearCode, Matrix, mat_mul, rank
-from stopred.construct import (NotMDSError, combination_pcm, direct_sum_pcm,
+from stopred.construct import (NotMDSError, _support_row, combination_pcm,
+                               direct_sum_pcm,
                                extend_pcm, full_dual_pcm,
                                graham_sloane_partition, mds_pcm,
                                pruned_mds_pcm, rm_generator,
@@ -273,6 +274,15 @@ def test_mds_pcm_spc(gf2):
 def test_mds_rejects_non_mds(hamming74):
     with pytest.raises(NotMDSError):
         mds_pcm(hamming74)
+
+
+@pytest.mark.parametrize("w", [5, 6])
+def test_support_row_refuses_non_mds(hamming74, w):
+    # the [7, 4, 3] Hamming code's dual words all have weight 4: the checks
+    # vanishing off five positions span one of them, off six positions two
+    for support in combinations(range(7), w):
+        with pytest.raises(NotMDSError, match="input is not MDS"):
+            _support_row(hamming74, support)
 
 
 def test_graham_sloane_partition_properties():

@@ -165,6 +165,15 @@ def test_psi_wmax_truncation(golay24):
         failure_curve(profile, [0.1])
 
 
+@pytest.mark.parametrize("w_max", [-1, -2])
+def test_negative_w_max_is_refused(golay24, w_max):
+    message = f"w_max must be >= 0, got {w_max}"
+    with pytest.raises(ValueError, match=message):
+        psi_stop(load_asset("h24"), w_max=w_max)
+    with pytest.raises(ValueError, match=message):
+        psi_ml(golay24, w_max=w_max)
+
+
 def test_peel_residue_is_stopping_set_and_confluent():
     h24 = load_asset("h24")
     masks = h24.row_masks()

@@ -86,9 +86,10 @@ def test_bad_symbols_rejected():
 
 
 def test_vectorized_ops_match_tables():
-    for q in (3, 4, 5):
+    for q in (2, 3, 4, 5, 7):
         f = make_field(q)
         a = np.repeat(np.arange(q, dtype=np.uint8), q)
         b = np.tile(np.arange(q, dtype=np.uint8), q)
         assert np.array_equal(f.add_arr(a, b), f.add_table[a, b])
+        assert np.array_equal(f.sub_arr(a, b), f.add_table[a, f.neg_table[b]])
         assert np.array_equal(f.mul_arr(a, b), f.mul_table[a, b])

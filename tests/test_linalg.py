@@ -15,7 +15,7 @@ from stopred.field import make_field
 from stopred.linalg import (EnumerationTooLargeError, LinearCode, Matrix,
                             _enumerate_combinations, _rank_generic, _rank_gf2,
                             dual_codewords, enumerate_codewords, mat_mul,
-                            min_distance, nullspace, rank)
+                            min_distance, nullspace, rank, rref)
 
 
 def test_rank_zero_matrix(gf2):
@@ -90,8 +90,51 @@ def test_rank_invariant_under_row_ops(q):
         scaled = data.copy()
         row = rng.integers(0, m)
         c = int(rng.integers(1, q))
-        scaled[row] = f.scale_arr(c, scaled[row])
+        scaled[row] = f.mul_arr(scaled[row], c)
         assert rank(Matrix(f, scaled)) == r
+
+
+@st.composite
+def field_matrices(draw):
+    """A matrix over GF(q), q in {2, 3, 4}: zero-row, full-rank (an
+    identity block among random columns), wide (more than 64 columns) or
+    small, the last two of a drawn rank bound."""
+    f = make_field(draw(st.sampled_from([2, 3, 4])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zero-row", "full-rank", "wide", "small"]))
+    if kind == "zero-row":
+        return f, np.zeros((0, draw(st.integers(0, 80))), dtype=np.uint8)
+    m = draw(st.integers(1, 8))
+    if kind == "full-rank":
+        n = draw(st.integers(m, 12))
+        data = np.hstack([np.eye(m, dtype=np.uint8),
+                          rng.integers(0, f.q, size=(m, n - m))])
+        return f, data[:, rng.permutation(n)].astype(np.uint8)
+    n = draw(st.integers(65, 100) if kind == "wide" else st.integers(1, 10))
+    t = draw(st.integers(0, min(m, n)))
+    return f, mat_mul(f, rng.integers(0, f.q, size=(m, t)),
+                      rng.integers(0, f.q, size=(t, n))).astype(np.uint8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(field_matrices())
+def test_nullspace_and_code_bases_from_one_reduction(fm):
+    f, data = fm
+    m = Matrix(f, data)
+    n = m.n_cols
+    basis = nullspace(m)
+    reduced = rref(m)
+    r = ref_rank(data.tolist(), f.q)
+    assert basis.n_rows == n - r and reduced.n_rows == r
+    pivots = [int(np.flatnonzero(row)[0]) for row in reduced.data]
+    free = [c for c in range(n) if c not in pivots]
+    assert np.array_equal(basis.data[:, free],
+                          np.eye(n - r, dtype=np.uint8))
+    assert not np.any(mat_mul(f, data, basis.data.T))
+    from_h = LinearCode.from_parity_check(m)
+    assert from_h.generator == basis and from_h.parity_check == reduced
+    from_g = LinearCode.from_generator(m)
+    assert from_g.generator == reduced and from_g.parity_check == basis
 
 
 def test_nullspace_identity(gf2):

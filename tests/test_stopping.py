@@ -233,7 +233,7 @@ def test_invariance_column_permutation_row_scaling():
             assert stopping_distance(Matrix(f, mat.data[:, perm])).s == s
             scaled = mat.data.copy()
             for i in range(m):
-                scaled[i] = f.scale_arr(int(rng.integers(1, q)), scaled[i])
+                scaled[i] = f.mul_arr(scaled[i], int(rng.integers(1, q)))
             assert stopping_distance(Matrix(f, scaled)).s == s
 
 
