@@ -87,6 +87,8 @@ def layers() -> dict:
     rs13 = Matrix(field.make_field(13),
                   [[pow(x, i, 13) for x in range(13)] for i in range(8)])
     thm4 = construct.combination_pcm(h24, 6)  # 2509 rows
+    h12 = cli.load_asset("h12")
+    rm37 = construct.rm_generator(3, 7)  # 64 x 128: two words per node
     # distances are cached on a code: find them before the timed builds
     rs13_code = code_of(rs13)
     rep70 = LinearCode.from_generator(  # [70, 1, 70]: 2415 rows of weight 2
@@ -136,6 +138,9 @@ def layers() -> dict:
         "stopping_distance rm26-checks cap=8": (
             lambda: stopred.stopping_distance(rm26_checks, cap=8), 1,
             lambda r: [r.s, r.at_least]),
+        "stopping_distance rm37-gen cap=8": (
+            lambda: stopred.stopping_distance(rm37, cap=8), 1,
+            lambda r: [r.s, r.at_least]),
         "greedy_construct golay24": (
             lambda: stopred.greedy_construct(code_of(h24)), 1,
             lambda m: m.n_rows),
@@ -151,6 +156,10 @@ def layers() -> dict:
             lambda: stopred.exact_stopping_redundancy(code_of(Matrix(
                 field.make_field(3), np.array(points, dtype=np.uint8).T))),
             1, lambda r: [r.value, r.exact]),
+        # 472 rows over GF(3): sizes 1..4 of the 6 checks, 2^size
+        # coefficient tuples each
+        "combination_pcm h12 t=4": (
+            lambda: construct.combination_pcm(h12, 4), 1, digest),
         "mds_pcm rs13": (lambda: construct.mds_pcm(rs13_code), 1, digest),
         "pruned_mds_pcm rs13": (
             lambda: construct.pruned_mds_pcm(rs13_code), 1, digest),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional
 
@@ -128,11 +129,13 @@ def parse_matrix_text(text: str) -> Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix file")
-    try:
-        q, n = map(int, lines[0].split())
-    except ValueError:
-        raise ValueError(f"header must be two integers: q n, got {lines[0]!r}"
-                         ) from None
+    header = lines[0].split()
+    # ASCII digits only, as in symbols; a minus is read so that a negative
+    # count is named as such
+    if len(header) != 2 or not all(re.fullmatch("-?[0-9]+", t)
+                                   for t in header):
+        raise ValueError(f"header must be two integers: q n, got {lines[0]!r}")
+    q, n = map(int, header)
     if n < 1:
         raise ValueError(f"header column count n must be >= 1, got {n}")
     f = make_field(q)
@@ -262,7 +265,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_greedy(args) -> int:
     code = LinearCode.from_parity_check(_input_matrix(args))
-    out = greedy.greedy_construct(code, weighted=not args.uniform)
+    out = greedy.greedy_construct(code)
     sys.stdout.write(render_matrix_text(out))
     return 0
 
@@ -367,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("greedy", help="greedy full-stopping-distance matrix")
     add_matrix_opts(p)
-    p.add_argument("--uniform", action="store_true",
-                   help="score every uncovered set 1 point")
     p.set_defaults(func=_cmd_greedy)
 
     p = sub.add_parser("rho-exact", help="exact stopping redundancy (tiny codes)")

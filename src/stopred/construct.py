@@ -55,22 +55,17 @@ def combination_pcm(h: Matrix, t_max: int) -> Matrix:
     if total > ENUM_GUARD:
         raise EnumerationTooLargeError(
             f"{total} combination rows exceed the 2^26 guard")
-    rows: List[np.ndarray] = []
-    data = h.data
+    blocks = []
     for size in range(1, t_max + 1):
-        for subset in combinations(range(r), size):
-            if q == 2:
-                acc = data[subset[0]].copy()
-                for j in subset[1:]:
-                    acc ^= data[j]
-                rows.append(acc)
-            else:
-                for coeffs in product(range(1, q), repeat=size):
-                    acc = np.zeros(h.n_cols, dtype=np.uint8)
-                    for cf, j in zip(coeffs, subset):
-                        acc = h.field.add_arr(acc, h.field.mul_arr(data[j], cf))
-                    rows.append(acc.astype(np.uint8))
-    return Matrix(h.field, np.array(rows, dtype=np.uint8))
+        # one (subsets, coefficient tuples, n) block per size
+        subsets = np.array(list(combinations(range(r), size)))
+        coeffs = np.array(list(product(range(1, q), repeat=size)))
+        acc = np.zeros((len(subsets), len(coeffs), h.n_cols), dtype=np.uint8)
+        for j in range(size):
+            acc = h.field.add_arr(acc, h.field.mul_arr(
+                h.data[subsets[:, j], None], coeffs[:, j, None]))
+        blocks.append(acc.reshape(-1, h.n_cols))
+    return Matrix(h.field, np.concatenate(blocks))
 
 
 def direct_sum_pcm(h1: Matrix, h2: Matrix) -> Matrix:

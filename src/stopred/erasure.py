@@ -82,7 +82,7 @@ class PsiProfile:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, decoder: str = "csv") -> "PsiProfile":
+    def from_csv(cls, text: str) -> "PsiProfile":
         rows = [ln.strip() for ln in text.strip().splitlines()]
         if not rows or rows[0] != "w,count":
             raise ValueError("expected a 'w,count' CSV header")
@@ -102,7 +102,7 @@ class PsiProfile:
             pairs[w] = count
         n = max(pairs)
         counts: List[Optional[int]] = [pairs.get(w) for w in range(n + 1)]
-        return cls(n, decoder, counts)
+        return cls(n, "csv", counts)
 
 
 def _pattern_set(positions, n: int) -> frozenset:

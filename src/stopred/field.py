@@ -121,8 +121,9 @@ def make_field(q: int) -> FieldSpec:
 def parse_symbol(f: FieldSpec, s: str) -> int:
     """Map a display symbol to an element index.
 
-    Prime fields read the decimal index; GF(3) additionally accepts "-"
-    for the element 2; GF(4) reads one of 0, 1, w, W.
+    Prime fields read the decimal index in ASCII digits only (no sign,
+    underscore or other script); GF(3) additionally accepts "-" for the
+    element 2; GF(4) reads one of 0, 1, w, W.
     """
     if f.kind == "gf4":
         try:
@@ -131,10 +132,9 @@ def parse_symbol(f: FieldSpec, s: str) -> int:
             raise ValueError(f"{s!r} is not a GF(4) symbol (0, 1, w, W)") from None
     if f.q == 3 and s == "-":
         return 2
-    try:
-        v = int(s, 10)
-    except ValueError:
-        raise ValueError(f"{s!r} is not a GF({f.q}) symbol") from None
+    if not (s.isascii() and s.isdigit()):
+        raise ValueError(f"{s!r} is not a GF({f.q}) symbol")
+    v = int(s)
     if not 0 <= v < f.q:
         raise ValueError(f"symbol {s!r} out of range for GF({f.q})")
     return v

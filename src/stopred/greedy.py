@@ -42,12 +42,8 @@ class RedundancyResult:
     exact: bool
 
 
-def greedy_construct(c: LinearCode, weighted: bool = True) -> Matrix:
-    """Greedy coverage construction; returns a matrix with s = d(C).
-
-    weighted=False scores every uncovered set 1 point regardless of size
-    (an experimentation variant; the weighted rule is the default).
-    """
+def greedy_construct(c: LinearCode) -> Matrix:
+    """Greedy coverage construction; returns a matrix with s = d(C)."""
     d = c.min_distance()
     n = c.n
     if sum(comb(n, i) for i in range(1, d)) > UNIVERSE_GUARD:
@@ -55,19 +51,17 @@ def greedy_construct(c: LinearCode, weighted: bool = True) -> Matrix:
     classes = full_dual_pcm(c)
     masks = classes.row_masks()
     cand = np.array(masks, dtype=mask_dtype(n))
-    # (points per set, the uncovered i-sets) for each size i = 1..d-1 with
-    # any left
-    points = [i if weighted else 1 for i in range(1, d)]
-    uncovered = list(zip(points, weight_masks_upto(n, d - 1)[1:]))
+    # (i, the uncovered i-sets) for each size i = 1..d-1 with any left
+    uncovered = list(enumerate(weight_masks_upto(n, d - 1)[1:], start=1))
 
     def score_of(idx: int) -> int:
-        return sum(p * int(np.count_nonzero(popcount(level & cand[idx]) == 1))
-                   for p, level in uncovered)
+        return sum(i * int(np.count_nonzero(popcount(level & cand[idx]) == 1))
+                   for i, level in uncovered)
 
     # Round 0 has a closed form: every i-set is still uncovered, so a
     # weight-w word covers exactly w * C(n-w, i-1) of each size.
-    heap = [(-sum(p * w * comb(n - w, i) for i, p in enumerate(points)),
-             idx, 0) for idx, w in enumerate(m.bit_count() for m in masks)]
+    heap = [(-sum(i * w * comb(n - w, i - 1) for i in range(1, d)), idx, 0)
+            for idx, w in enumerate(m.bit_count() for m in masks)]
     heapq.heapify(heap)
     chosen: List[int] = []
     while uncovered:
@@ -83,7 +77,7 @@ def greedy_construct(c: LinearCode, weighted: bool = True) -> Matrix:
         if neg == 0:
             raise ValueError("coverage unreachable with the available dual words")
         chosen.append(idx)
-        uncovered = [(p, rest) for p, level in uncovered
+        uncovered = [(i, rest) for i, level in uncovered
                      if (rest := level[popcount(level & cand[idx]) != 1]).size]
 
     # the cover need not span the dual: complete it with the code's checks

@@ -61,9 +61,6 @@ class Matrix:
         """Support of each row packed into an int (bit j = column j nonzero)."""
         return pack_rows(self.data != 0)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data.copy())
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field.q == other.field.q
                 and self.data.shape == other.data.shape
@@ -108,10 +105,6 @@ def _rref(field: FieldSpec, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return a.astype(np.uint8), pivots
 
 
-def _rank_generic(field: FieldSpec, data: np.ndarray) -> int:
-    return len(_rref(field, data)[1])
-
-
 def _rank_gf2(vectors, within=-1):
     """Rank over GF(2) of packed vectors (ints, bit j = coordinate j)
     restricted to the mask `within`: an int, or an array of masks for a
@@ -135,7 +128,7 @@ def rank(m: Matrix) -> int:
         bits = m.data != 0
         # rank(M) = rank(M^T): reduce the fewer vectors
         return _rank_gf2(pack_rows(bits if m.n_rows <= m.n_cols else bits.T))
-    return _rank_generic(m.field, m.data)
+    return len(_rref(m.field, m.data)[1])
 
 
 def rref(m: Matrix) -> Matrix:
@@ -189,15 +182,15 @@ def _enumerate_combinations(field: FieldSpec,
 class LinearCode:
     """A linear code defined by a parity-check or generator matrix.
 
-    Stores full-rank generator/parity-check bases; the minimum distance is
-    computed on demand by codeword enumeration and cached together with a
+    Stores full-rank generator/parity-check bases and reads the field and
+    the length n off the generator.  The minimum distance is computed on
+    demand by codeword enumeration and cached together with a
     minimum-weight codeword witness.
     """
 
-    def __init__(self, field: FieldSpec, n: int, generator: Matrix,
-                 parity_check: Matrix):
-        self.field = field
-        self.n = n
+    def __init__(self, generator: Matrix, parity_check: Matrix):
+        self.field = generator.field
+        self.n = generator.n_cols
         self.generator = generator
         self.parity_check = parity_check
         self.k = generator.n_rows
@@ -207,13 +200,13 @@ class LinearCode:
     @classmethod
     def from_parity_check(cls, h: Matrix) -> "LinearCode":
         a, pivots = _rref(h.field, h.data)
-        return cls(h.field, h.n_cols, _kernel(h.field, a, pivots),
+        return cls(_kernel(h.field, a, pivots),
                    Matrix(h.field, a[:len(pivots)]))
 
     @classmethod
     def from_generator(cls, g: Matrix) -> "LinearCode":
         a, pivots = _rref(g.field, g.data)  # dependent rows reduce away
-        return cls(g.field, g.n_cols, Matrix(g.field, a[:len(pivots)]),
+        return cls(Matrix(g.field, a[:len(pivots)]),
                    _kernel(g.field, a, pivots))
 
     def min_distance(self) -> int:

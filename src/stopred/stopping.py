@@ -22,9 +22,10 @@ W = ceil(n/64) uint64 words, so every width takes one path.  Nodes wait
 in buckets by size, and the next block always comes from the largest
 nonempty bucket, so each size stores at most the children of one block.
 A block is sized so that each (nodes, rows, W) array holds _CHUNK >> 4
-words.  Roots go by descending column degree, ties by index, so the tree
-depends on the column order only through ties.  The search is
-output-sensitive but exponential in the worst case.
+words.  Roots go by descending column degree, ties by index, and a node
+branches on the violated row with the fewest allowed columns, ties to the
+lower row, so the tree depends on the column and row order only through
+ties.  The search is output-sensitive but exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -148,11 +149,12 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
     (size, mask) of the lexicographically first minimum stopping set, or
     None.  A node is a current set `cur` and a set `banned` of columns its
     subtree never adds.  It branches on the violated row with the fewest
-    allowed extensions (ties: the smallest allowed set as an integer), one
-    child per allowed column with the lower ones banned, so no subset is
-    visited twice.  Every minimum stopping set is reached, because a node
-    is pruned only when its size plus the greedy disjoint-row bound exceeds
-    the best size so far (at first, limit).
+    allowed extensions (ties: the lower row), one child per allowed column
+    with the lower ones banned, so no subset is visited twice.  Every
+    minimum stopping set is reached, because a node is pruned only when its
+    size plus the greedy disjoint-row bound exceeds the best size so far
+    (at first, limit); so the row order shapes the tree through ties, but
+    not the answer.
     """
     m, width = rows.shape
     bits = 64 * width
@@ -208,16 +210,9 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
         node = (np.cumsum(split) - 1)[node[take]]
         allowed, count = allowed[take], count[take]
         cur, banned = cur[split], banned[split]
-        # each node's violated rows in (count, allowed) order: sort by the
-        # words of allowed, least significant first, then by (node, count)
-        # with the position so far as the last digit, so every key is unique
-        rank = np.argsort(allowed[:, 0])
-        for w in range(1, width):
-            rank = rank[np.argsort(allowed[rank, w], kind="stable")]
-        place = np.empty_like(rank)
-        place[rank] = np.arange(len(rank))
-        rank = np.argsort((node * (bits + 1) + count) * len(rank) + place)
-        allowed = allowed[rank]
+        # each node's violated rows by allowed count; the entries come row
+        # by row, so a stable sort sends ties to the lower row
+        allowed = allowed[np.argsort(node * (bits + 1) + count, kind="stable")]
         per_node = np.bincount(node, minlength=len(cur))
         first = np.cumsum(per_node) - per_node
         # greedy disjoint rows; a node leaves once its verdict is settled

@@ -182,7 +182,8 @@ def test_negative_wmax_is_refused(capsys, kind):
     ("2\n1 0\n", "header must be two integers: q n, got '2'"),
     ("2 -2\n1 0\n", "header column count n must be >= 1, got -2"),
     ("2 0\n\n", "header column count n must be >= 1, got 0"),
-], ids=["not-an-integer", "one-token", "negative-n", "zero-n"])
+    ("2 1_2\n1 0\n", "header must be two integers: q n, got '2 1_2'"),
+], ids=["not-an-integer", "one-token", "negative-n", "zero-n", "underscore"])
 def test_matrix_header_errors_name_the_header(text, message):
     with pytest.raises(ValueError) as exc:
         parse_matrix_text(text)

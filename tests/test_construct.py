@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import f_add, f_mul
 from stopred._bits import mask_to_positions, weight_masks
 from stopred.cli import load_asset
 from stopred.field import make_field
@@ -89,6 +90,39 @@ def test_combination_pcm_t1_is_input(golay24):
 def test_combination_pcm_golay_count(golay24):
     h = combination_pcm(golay24.parity_check, 6)
     assert h.n_rows == 2509
+
+
+@st.composite
+def full_rank_checks(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 7))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=r, max_size=r))
+    h = Matrix(make_field(q), rows)
+    assume(rank(h) == r)
+    return q, rows, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_rank_checks())
+def test_combination_pcm_row_order(case):
+    # by size, then row subsets in lex order, then coefficient tuples in
+    # counting order; each depth's rows are the first rows of the next
+    q, rows, h = case
+    r, n = len(rows), len(rows[0])
+    want = []
+    for size in range(1, r + 1):
+        for subset in combinations(range(r), size):
+            for coeffs in product(range(1, q), repeat=size):
+                acc = [0] * n
+                for c, j in zip(coeffs, subset):
+                    acc = [f_add(q, a, f_mul(q, c, x))
+                           for a, x in zip(acc, rows[j])]
+                want.append(acc)
+    for t_max in range(1, r + 1):
+        count = sum(comb(r, i) * (q - 1) ** i for i in range(1, t_max + 1))
+        assert combination_pcm(h, t_max).data.tolist() == want[:count]
 
 
 def test_combination_pcm_validation(golay24):

@@ -85,6 +85,15 @@ def test_bad_symbols_rejected():
         parse_symbol(make_field(5), "-")
 
 
+@pytest.mark.parametrize("s", ["1_0", "+1", "-0", "\u0663", " 1"],
+                         ids=["underscore", "plus", "minus-zero",
+                              "arabic-indic-three", "space"])
+def test_symbols_are_ascii_digits_only(s):
+    # int() reads each of these; a matrix file must not
+    with pytest.raises(ValueError, match="is not a GF"):
+        parse_symbol(make_field(11), s)
+
+
 def test_vectorized_ops_match_tables():
     for q in (2, 3, 4, 5, 7):
         f = make_field(q)

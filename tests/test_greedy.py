@@ -42,11 +42,6 @@ def test_greedy_deterministic(hexacode):
     assert a == b
 
 
-def test_greedy_uniform_variant(hexacode):
-    h = greedy_construct(hexacode, weighted=False)
-    assert verify_full_stopping(hexacode, h)
-
-
 def test_greedy_universe_guard():
     huge = LinearCode.from_generator(
         Matrix(make_field(2), np.eye(40, dtype=np.uint8)[:1]))
@@ -180,26 +175,25 @@ def greedy_cases(draw):
     m = draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
                                   max_size=n), min_size=m, max_size=m))
-    return q, n, rows, draw(st.booleans())
+    return q, n, rows
 
 
-# a [6, 3] binary code whose weighted and uniform covers differ
+# a [6, 3] binary code on which scoring every uncovered set 1 point, not
+# i points per i-set, picks a different cover
 WEIGHTS_MATTER = [[1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 0, 1], [1, 0, 0, 1, 1, 0]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(greedy_cases())
-@example((2, 6, WEIGHTS_MATTER, True))
-@example((2, 6, WEIGHTS_MATTER, False))
+@example((2, 6, WEIGHTS_MATTER))
 def test_greedy_matches_reference(case):
     # the lazy heap over projective classes picks what rescoring every
     # dual word each round picks
-    q, n, rows, weighted = case
+    q, n, rows = case
     code = LinearCode.from_parity_check(Matrix(make_field(q), rows))
     assume(1 <= n - code.k < n)
-    h = greedy_construct(code, weighted)
-    assert h.data.tolist() == ref_greedy(code.parity_check.data.tolist(), q,
-                                         weighted)
+    h = greedy_construct(code)
+    assert h.data.tolist() == ref_greedy(code.parity_check.data.tolist(), q)
 
 
 def test_exact_budget_exhaustion(hexacode):

@@ -140,20 +140,25 @@ _NOT_LEX_FIRST_FOR_DFS = [[0, 1, 1, 0, 0, 1, 0, 0, 0, 0],
 
 
 @settings(max_examples=200, deadline=None)
-@given(capped_matrices())
-@example((Matrix(make_field(2), _NOT_LEX_FIRST_FOR_DFS), None))
-def test_bnb_agrees_with_scan(case):
+@given(capped_matrices(), st.integers(0, 2**32 - 1))
+@example((Matrix(make_field(2), _NOT_LEX_FIRST_FOR_DFS), None), 0)
+def test_bnb_agrees_with_scan(case, seed):
     h, cap = case
     scan = stopping_distance(h, cap)
     if scan.witness is not None:
         assert len(scan.witness) == scan.s
         assert is_stopping_set(h, scan.witness)
+    # ties between violated rows go to the lower row, so the rows permuted
+    # give another tree; the report must not change
+    shuffled = Matrix(h.field, h.data[
+        np.random.default_rng(seed).permutation(h.n_rows)])
     # both engines report the lexicographically first minimum stopping set;
     # _CHUNK sets the branch-and-bound block: one node, a few, the default
     for chunk in (1, 1 << 8, stopping._CHUNK):
         with mock.patch.object(stopping, "SCAN_BUDGET", 0), \
                 mock.patch.object(stopping, "_CHUNK", chunk):
             assert stopping_distance(h, cap) == scan
+            assert stopping_distance(shuffled, cap) == scan
 
 
 @st.composite
