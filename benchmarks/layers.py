@@ -142,12 +142,11 @@ def layers() -> dict:
             lambda: stopred.stopping_distance(rm37, cap=8), 1,
             lambda r: [r.s, r.at_least]),
         "greedy_construct golay24": (
-            lambda: stopred.greedy_construct(code_of(h24)), 1,
-            lambda m: m.n_rows),
+            lambda: stopred.greedy_construct(code_of(h24)), 1, digest),
         # the ternary Golay code: 364 projective classes of 728 dual words
         "greedy_construct h12": (
             lambda: stopred.greedy_construct(code_of(cli.load_asset("h12"))),
-            1, lambda m: m.n_rows),
+            1, digest),
         "exact_stopping_redundancy eh16": (
             lambda: stopred.exact_stopping_redundancy(
                 code_of(construct.rm_generator(1, 4))),

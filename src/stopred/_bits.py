@@ -5,6 +5,11 @@ integers (bit i = column i).  Numeric order of the masks equals
 colexicographic order of the subsets, which the generators below rely on.
 Subsets of any width are rows of little-endian uint64 words (`pack_words`).
 
+A family of sets can also be stored bit-sliced (`bit_planes`): plane j is a
+packed bitset over the sets, marking those that contain j.  `meet_once`
+reads the planes of a support to find the sets it meets in exactly one
+position, 64 sets per word operation.
+
 A subset lattice is a `bool` array of length 2^n indexed by such masks.
 `up_close` closes it upwards in place and `count_by_popcount` counts it by
 subset size; neither needs more than one chunk of scratch memory.
@@ -12,7 +17,7 @@ subset size; neither needs more than one chunk of scratch memory.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -99,13 +104,15 @@ def unpack_words(words: np.ndarray) -> np.ndarray:
 
 def pack_rows(bits: np.ndarray) -> List[int]:
     """Each row of a 2-D truth array packed into an int (bit j = column j);
-    any width, so rows wider than 64 columns stay exact.
+    any width, so rows wider than 64 columns stay exact."""
+    return words_to_ints(pack_words(bits))
 
-    The words of pack_words are joined most significant first, so one word
-    needs no Python arithmetic.
-    """
-    lanes = pack_words(bits)
-    out = lanes[:, -1].tolist()
+
+def words_to_ints(lanes: np.ndarray) -> List[int]:
+    """Each row of little-endian uint64 words as one int (word w holds bits
+    64w..64w+63).  The words are joined most significant first, so one word
+    needs no Python arithmetic."""
+    out = lanes[:, -1].tolist() if lanes.shape[1] else [0] * len(lanes)
     for w in range(lanes.shape[1] - 2, -1, -1):
         out = [(hi << 64) | lo for hi, lo in zip(out, lanes[:, w].tolist())]
     return out
@@ -154,3 +161,61 @@ def weight_masks(n: int, w: int) -> np.ndarray:
     if w < 0 or w > n:
         return np.zeros(0, dtype=mask_dtype(n))
     return weight_masks_upto(n, w)[w]
+
+
+def bit_planes(n: int, family: Sequence[np.ndarray]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Bit-slice a family of sets over n <= 64 positions for `meet_once`.
+
+    `family` holds the sets as masks, in groups (one array each).  Each
+    group starts on a word boundary: set k of group g is bit k of the run
+    that starts at word starts[g], and the rest of the run's last word is
+    padding that no support meets.  Returns (planes, starts), where
+    planes[j] is the uint64 bitset of the sets that contain j for j < n,
+    and plane n is empty, the plane that shorter supports pad with.
+    The planes are built one position at a time, so the temporaries take
+    O(sets) bytes, not O(n * sets).
+    """
+    words = [-(-len(group) // 64) for group in family]
+    starts = np.cumsum([0] + words, dtype=np.int64)[:-1]
+    planes = np.zeros((n + 1, sum(words)), dtype="<u8")
+    plane_bytes = planes.view(np.uint8)
+    dt = mask_dtype(n).newbyteorder("<")
+    for group, start in zip(family, starts):
+        # bit j of every mask is one bit of one byte column
+        columns = np.ascontiguousarray(group, dtype=dt).view(np.uint8)
+        columns = columns.reshape(len(group), dt.itemsize)
+        for j in range(n):
+            packed = np.packbits(columns[:, j // 8] & np.uint8(1 << j % 8),
+                                 bitorder="little")
+            plane_bytes[j, 8 * start:8 * start + len(packed)] = packed
+    return planes, starts
+
+
+def support_positions(supports: np.ndarray, n: int) -> np.ndarray:
+    """(len(supports), n) array: the positions of each mask ascending, then
+    n (the empty plane of `bit_planes`) in every remaining column."""
+    bits = (supports[:, None] >> np.arange(n, dtype=supports.dtype)) & 1
+    pos = np.where(bits != 0, np.arange(n, dtype=np.uint8), np.uint8(n))
+    pos.sort(axis=1)
+    return pos
+
+
+def meet_once(planes: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """once[b] = the bitset of the sets (laid out as by `bit_planes`) that
+    the support with positions[b] (a row of `support_positions`, possibly
+    cut to fewer columns) meets in exactly one position.
+
+    Two accumulators run over the planes of the support: `twice` marks
+    the sets met at least twice, `once` those met an odd number of times.
+    Each column of `positions` is one pass over the batch's words, so a
+    batch of one weight w needs only its first w columns.
+    """
+    once = planes[positions[:, 0]]
+    twice = np.zeros_like(once)
+    for t in range(1, positions.shape[1]):
+        p = planes[positions[:, t]]
+        twice |= once & p
+        once ^= p
+    once &= ~twice
+    return once

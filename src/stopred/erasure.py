@@ -23,6 +23,7 @@ both decoders fail on it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -91,11 +92,14 @@ class PsiProfile:
         header_line = text[:len(text) - len(text.lstrip())].count("\n") + 1
         pairs = {}
         for line, ln in enumerate(rows[1:], start=header_line + 1):
-            try:
-                w, count = map(int, ln.split(","))
-            except ValueError:
+            # ASCII digits only, as in matrix files; a minus is read so that
+            # a negative weight gets its own message
+            fields = ln.split(",")
+            if len(fields) != 2 or not all(re.fullmatch("-?[0-9]+", f)
+                                           for f in fields):
                 raise ValueError(f"line {line}: expected two integers "
-                                 f"'w,count', got {ln!r}") from None
+                                 f"'w,count', got {ln!r}")
+            w, count = map(int, fields)
             if w < 0 or w in pairs:
                 raise ValueError(f"line {line}: weight {w} is "
                                  f"{'negative' if w < 0 else 'repeated'}")

@@ -12,6 +12,18 @@ where a word scores i points for every yet-uncovered i-set it covers.
 Scores only decrease as coverage grows, so a lazy priority queue rescores
 only the few candidates that can still be maximal; the selection is
 identical to rescoring everything each round.
+
+Both searches read coverage off one kernel, `_bits.meet_once`.  The sets
+are stored bit-sliced: plane j is a packed uint64 bitset over the sets
+that contain j, each size starting on a word boundary.  For a support c,
+two accumulators run over the planes of c (`twice |= once & p;
+once ^= p`), and `once & ~twice` marks the sets c meets exactly once, 64
+sets per word operation.  Greedy rescores the stale top of its queue in
+batches of one weight (at most BATCH_WORDS words of bitsets), counts
+each size with one `np.add.reduceat` over popcounts, and after each round
+rebuilds the planes over the sets still uncovered.  The exact search
+builds its cover table from the same kernel both ways round, since
+meeting in exactly one position is symmetric.
 """
 
 from __future__ import annotations
@@ -23,14 +35,18 @@ from typing import List
 
 import numpy as np
 
-from ._bits import (mask_dtype, mask_to_positions, pack_rows, popcount,
-                    weight_masks_upto)
+from ._bits import (bit_planes, mask_dtype, mask_to_positions, meet_once,
+                    popcount, support_positions, weight_masks_upto,
+                    words_to_ints)
 from .construct import full_dual_pcm
 from .linalg import LinearCode, Matrix, rank
 from .stopping import stopping_distance
 
 UNIVERSE_GUARD = 1 << 24
 CLASS_GUARD = 128
+# words of set bitsets per kernel batch: four such arrays (once, twice, a
+# plane row, a temporary) stay within a 1 MiB cache
+BATCH_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -51,34 +67,49 @@ def greedy_construct(c: LinearCode) -> Matrix:
     classes = full_dual_pcm(c)
     masks = classes.row_masks()
     cand = np.array(masks, dtype=mask_dtype(n))
+    weights = [m.bit_count() for m in masks]
+    positions = support_positions(cand, n)
     # (i, the uncovered i-sets) for each size i = 1..d-1 with any left
     uncovered = list(enumerate(weight_masks_upto(n, d - 1)[1:], start=1))
+    planes, starts = bit_planes(n, [level for _, level in uncovered])
 
-    def score_of(idx: int) -> int:
-        return sum(i * int(np.count_nonzero(popcount(level & cand[idx]) == 1))
-                   for i, level in uncovered)
+    def scores(batch: List[int]) -> List[int]:
+        once = meet_once(planes, positions[batch, :weights[batch[0]]])
+        met = np.add.reduceat(popcount(once), starts, axis=1, dtype=np.int64)
+        return (met @ [i for i, _ in uncovered]).tolist()
 
     # Round 0 has a closed form: every i-set is still uncovered, so a
     # weight-w word covers exactly w * C(n-w, i-1) of each size.
     heap = [(-sum(i * w * comb(n - w, i - 1) for i in range(1, d)), idx, 0)
-            for idx, w in enumerate(m.bit_count() for m in masks)]
+            for idx, w in enumerate(weights)]
     heapq.heapify(heap)
     chosen: List[int] = []
     while uncovered:
         # (-score, idx, round scored): an entry scored this round tops
-        # every upper bound left in the heap, so it is the first maximal
+        # every upper bound left in the heap, so it is the first maximal.
+        # Stale entries are rescored in batches of one weight.
+        cap = max(BATCH_WORDS // planes.shape[1], 1)
         while True:
             if not heap:
                 raise ValueError("coverage unreachable; dual words exhausted")
             neg, idx, scored = heapq.heappop(heap)
             if scored == len(chosen):
                 break
-            heapq.heappush(heap, (-score_of(idx), idx, len(chosen)))
+            batch = [idx]
+            while (len(batch) < cap and heap and heap[0][2] != len(chosen)
+                   and weights[heap[0][1]] == weights[idx]):
+                batch.append(heapq.heappop(heap)[1])
+            for i, score in zip(batch, scores(batch)):
+                heapq.heappush(heap, (-score, i, len(chosen)))
         if neg == 0:
             raise ValueError("coverage unreachable with the available dual words")
         chosen.append(idx)
-        uncovered = [(i, rest) for i, level in uncovered
-                     if (rest := level[popcount(level & cand[idx]) != 1]).size]
+        once = meet_once(planes, positions[[idx]])
+        covered = np.unpackbits(once.view(np.uint8), bitorder="little")
+        kept = [(i, level[covered[64 * start:][:len(level)] == 0])
+                for (i, level), start in zip(uncovered, starts)]
+        uncovered = [(i, rest) for i, rest in kept if rest.size]
+        planes, starts = bit_planes(n, [level for _, level in uncovered])
 
     # the cover need not span the dual: complete it with the code's checks
     out = Matrix(c.field, classes.data[chosen])
@@ -115,12 +146,14 @@ def exact_stopping_redundancy(c: LinearCode,
     nodes = 0
 
     # the i-sets (i = 1..d-1) by size, then ascending; cover[ci] and
-    # coverers[si] pack "candidate ci covers set si" both ways
+    # coverers[si] pack "candidate ci covers set si" both ways, each as
+    # the kernel over the planes of the other family
     sets = np.concatenate(weight_masks_upto(n, d - 1))[1:]
     rows = np.array(classes.row_masks(), dtype=sets.dtype)
-    hits = popcount(rows[:, None] & sets[None, :]) == 1
-    cover = pack_rows(hits)
-    coverers = pack_rows(hits.T)
+    cover = words_to_ints(meet_once(bit_planes(n, [sets])[0],
+                                    support_positions(rows, n)))
+    coverers = words_to_ints(meet_once(bit_planes(n, [rows])[0],
+                                       support_positions(sets, n)))
 
     def deficit(chosen: List[int]) -> int:
         """Rows still needed to span the dual after the chosen classes."""

@@ -223,10 +223,13 @@ def test_greedy_and_rho_exact_complete_the_span(capsys, tmp_path):
     ("w,count\n0,0,1\n1,1\n", "line 2: .*'0,0,1'"),
     ("w,count\n0,0\n\n1,1\n", "line 3: .*''"),
     ("w,count\n0,x\n1,1\n", "line 2: .*'0,x'"),
-], ids=["extra-field", "blank-line", "not-an-integer"])
+    ("w,count\n0,0\n+2,1_0\n", "line 3: .*'\\+2,1_0'"),
+    ("w,count\n0,0\n\u0663,1\n", "line 3: .*'\u0663,1'"),
+], ids=["extra-field", "blank-line", "not-an-integer", "plus-underscore",
+        "arabic-indic-digit"])
 def test_malformed_psi_csv_names_the_line(capsys, tmp_path, table, shown):
     path = tmp_path / "psi.csv"
-    path.write_text(table)
+    path.write_text(table, encoding="utf-8")
     code, out, err = run_cli(capsys, "curve", "--psi", str(path),
                              "--pgrid", "0.5")
     assert code == 1 and out == "" and re.search(shown, err)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reference import (ref_codewords, ref_greedy, ref_rank,
                        ref_stopping_distance)
+from stopred._bits import bit_planes, mask_dtype, meet_once, support_positions
 from stopred.cli import load_asset
 from stopred.construct import rm_generator
 from stopred.field import make_field
@@ -14,6 +15,42 @@ from stopred.greedy import (RedundancyResult, exact_stopping_redundancy,
                             greedy_construct)
 from stopred.linalg import LinearCode, Matrix, rank
 from stopred.stopping import stopping_distance, verify_full_stopping
+
+
+@st.composite
+def set_families(draw, lo, hi):
+    """(n, groups of sets, supports) over n in lo..hi positions; the groups
+    always include an empty one and one of 64 sets, and the supports a
+    single position."""
+    n = draw(st.integers(lo, hi))
+    masks = st.integers(0, (1 << n) - 1)
+    sizes = draw(st.permutations(
+        [0, 64] + draw(st.lists(st.integers(1, 130), max_size=2))))
+    groups = [draw(st.lists(masks, min_size=k, max_size=k)) for k in sizes]
+    supports = [1 << draw(st.integers(0, n - 1))] + draw(
+        st.lists(masks, min_size=0, max_size=6))
+    return n, groups, supports
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 32), (33, 64)],
+                         ids=["uint32", "uint64"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_meet_once_is_exactly_one_common_position(lo, hi, data):
+    n, groups, supports = data.draw(set_families(lo, hi))
+    dt = mask_dtype(n)
+    planes, starts = bit_planes(n, [np.array(g, dtype=dt) for g in groups])
+    assert planes.shape == (n + 1, sum(-(-len(g) // 64) for g in groups))
+    positions = support_positions(np.array(supports, dtype=dt), n)
+    once = meet_once(planes, positions)
+    width = max(c.bit_count() for c in supports)
+    assert np.array_equal(meet_once(planes, positions[:, :width]), once)
+    for c, row in zip(supports, once):
+        got = int.from_bytes(row.tobytes(), "little")
+        want = sum(1 << (64 * int(start) + k)
+                   for g, start in zip(groups, starts)
+                   for k, s in enumerate(g) if (s & c).bit_count() == 1)
+        assert got == want
 
 
 def test_greedy_golay24(golay24):
@@ -181,11 +218,16 @@ def greedy_cases(draw):
 # a [6, 3] binary code on which scoring every uncovered set 1 point, not
 # i points per i-set, picks a different cover
 WEIGHTS_MATTER = [[1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 0, 1], [1, 0, 0, 1, 1, 0]]
+# an [8, 4, 3] binary code on which the i points per i-set first change the
+# choice after round 0, where the scores come from the closed form
+WEIGHTS_MATTER_LATER = [[1, 1, 0, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0, 0, 1],
+                        [0, 0, 1, 1, 1, 1, 1, 0], [1, 1, 0, 1, 0, 0, 1, 0]]
 
 
 @settings(max_examples=150, deadline=None)
 @given(greedy_cases())
 @example((2, 6, WEIGHTS_MATTER))
+@example((2, 8, WEIGHTS_MATTER_LATER))
 def test_greedy_matches_reference(case):
     # the lazy heap over projective classes picks what rescoring every
     # dual word each round picks
