@@ -95,6 +95,8 @@ def layers() -> dict:
         Matrix(field.make_field(2), np.ones((1, 70), dtype=np.uint8)))
     for c in (rs13_code, rep70):
         c.min_distance()
+    # the 1716 x 13 GF(13) rows that perfbench's `verify mds.mat` ranks
+    mds_rs13 = construct.mds_pcm(rs13_code)
     out = {
         "row_masks hp24": (hp24.row_masks, 1, lambda m: sum(m) % 1_000_003),
     }
@@ -120,6 +122,7 @@ def layers() -> dict:
             lambda: stopred.psi_ml(LinearCode.from_generator(rm26), w_max=3),
             1, lambda p: p.counts),
         "rank hstar-h24": (lambda: stopred.rank(hstar), 1, int),
+        "rank mds-rs13": (lambda: stopred.rank(mds_rs13), 1, int),
         # a new code each run: the distance is cached on the code
         "min_distance rs13": (lambda: code_of(rs13).min_distance(), 1, int),
         "dual_codewords h24": (

@@ -14,11 +14,12 @@ high-rate code or low-rank H, where few patterns need testing) is counted
 exhaustively per weight, LATTICE_CHUNK pattern masks at a time: peeling by
 `_peel_residues`, binary ML by the batched GF(2) rank of the erased
 columns (`linalg._rank_gf2`), and ML over q > 2 by `ml_decode` one pattern
-at a time.  Two analytic shortcuts are exact and used to avoid pointless
-enumeration there: once every pattern of some weight fails, every heavier
-weight fails too (failure is monotone under adding erasures); and any
-pattern with more erasures than rank(H) has linearly dependent columns, so
-both decoders fail on it.
+at a time, which ranks the erased columns with the vector kernel
+`linalg._rank_gfq`.  Two analytic shortcuts are exact and used to avoid
+pointless enumeration there: once every pattern of some weight fails, every
+heavier weight fails too (failure is monotone under adding erasures); and
+any pattern with more erasures than rank(H) has linearly dependent
+columns, so both decoders fail on it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ._bits import (LATTICE_CHUNK, count_by_popcount, mask_to_positions,
                     pack_words, popcount, positions_to_mask, up_close,
                     weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _enumerate_combinations, _rank_gf2, rank)
+                     _enumerate_combinations, _rank, _rank_gf2, rank)
 
 WEIGHT_GUARD = 1 << 25
 LATTICE_MAX_N = 26  # a complete table needs one byte per subset: 64 MiB
@@ -131,10 +132,7 @@ def iterative_decode(h: Matrix, erased) -> PeelOutcome:
 def ml_decode(h: Matrix, erased) -> bool:
     """True iff the erased columns of h are linearly independent."""
     pattern = sorted(_pattern_set(erased, h.n_cols))
-    if not pattern:
-        return True
-    sub = Matrix(h.field, h.data[:, pattern])
-    return rank(sub) == len(pattern)
+    return _rank(h.field, h.data[:, pattern]) == len(pattern)
 
 
 def _peel_residues(row_masks: Sequence[int], erased):
@@ -295,9 +293,11 @@ def psi_ml(c: LinearCode, w_max: Optional[int] = None) -> PsiProfile:
     # ns for q = 2, 3, 5..13 and 4 ns for q = 4 at 729 to 4.8M codewords); a
     # GF(2) pattern r^2 ns for r = n - k check rows (the per-weight path took
     # 0.84-1.02 r^2 ns per pattern of weight <= r for r = 8..20 at n = 24,
-    # weight masks included), any other pattern 100 us in ml_decode
+    # weight masks included), any other pattern 3.5 us per check row (the
+    # per-weight path took 1.5-4.0 us per row and pattern for r = 3..10 and
+    # q = 3..13, 14-22 us per pattern on RS [11, 5] and 17-29 on RS [13, 5])
     lattice_ns = (10 << n) + 15 * n * q ** k
-    pattern_ns = (n - k) ** 2 if q == 2 else 100_000
+    pattern_ns = (n - k) ** 2 if q == 2 else 3_500 * (n - k)
     if (_on_lattice(n, w_max) and q ** k <= ENUM_GUARD
             and _lattice_cheaper(n, n - k, lattice_ns, pattern_ns)):
         counts = _psi_ml_on_lattice(c)

@@ -3,7 +3,9 @@
 Elements are plain ints in [0, q).  GF(4) uses the polynomial basis
 x^2 = x + 1 with elements ordered 0, 1, w, W (W = w + 1 = w^2), so addition
 is XOR of indices, as in GF(2).  Prime fields use ordinary modular
-arithmetic.  Complete add/mul/neg/inv tables are built once per field.
+arithmetic.  Complete add/mul/neg/inv tables are built once per field, as
+numpy arrays for vectorized code and as Python lists for per-symbol loops
+and the scalar ops.
 """
 
 from __future__ import annotations
@@ -51,24 +53,35 @@ class FieldSpec:
     q: int
     kind: str  # "prime" | "gf4"
     symbols: tuple
-    add_table: np.ndarray = dc_field(repr=False, compare=False, default=None)
-    mul_table: np.ndarray = dc_field(repr=False, compare=False, default=None)
-    neg_table: np.ndarray = dc_field(repr=False, compare=False, default=None)
-    inv_table: np.ndarray = dc_field(repr=False, compare=False, default=None)
+    add_table: np.ndarray = dc_field(repr=False, compare=False)
+    mul_table: np.ndarray = dc_field(repr=False, compare=False)
+    neg_table: np.ndarray = dc_field(repr=False, compare=False)
+    inv_table: np.ndarray = dc_field(repr=False, compare=False)
+    add_list: list = dc_field(init=False, repr=False, compare=False)
+    mul_list: list = dc_field(init=False, repr=False, compare=False)
+    neg_list: list = dc_field(init=False, repr=False, compare=False)
+    inv_list: list = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # the same tables as lists of Python ints: indexing a list is far
+        # cheaper than indexing an array one element at a time
+        for op in ("add", "mul", "neg", "inv"):
+            object.__setattr__(self, f"{op}_list",
+                               getattr(self, f"{op}_table").tolist())
 
     def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
+        return self.add_list[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
+        return self.mul_list[a][b]
 
     def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
+        return self.neg_list[a]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.inv_table[a])
+        return self.inv_list[a]
 
     # Vectorized variants used by the linear-algebra layer.
 

@@ -1,12 +1,17 @@
 """Matrices and linear codes over GF(q).
 
 Matrices are dense numpy uint8 grids of element indices, over any field.
-One `_rref` gives a matrix's row basis and, by `_kernel`, its nullspace.
-Every codeword set comes from one span engine, `_enumerate_combinations`,
-which extends the span of a basis row by row with field adds.
-GF(2) ranks come from one elimination kernel, `_rank_gf2`, on vectors
-packed into ints; it takes one mask or an array of masks, so the same
-loop gives the rank of one column subset or of a batch of them.
+`_rref` builds reduced forms only: one gives a matrix's row basis and, by
+`_kernel`, its nullspace.  Every codeword set comes from one span engine,
+`_enumerate_combinations`, which extends the span of a basis row by row
+with field adds.
+Ranks come from two elimination kernels that share one rule: a vector is
+reduced by the earlier basis vectors at their pivots.  `_rank_gf2` works on
+vectors packed into ints; it takes one mask or an array of masks, so the
+same loop gives the rank of one column subset or of a batch of them.
+`_rank_gfq` works on lists of element indices through the field's list
+tables, for q > 2.  `_rank` hands either kernel the fewer of an array's
+rows and columns.
 
 All enumeration routines refuse to expand more than ENUM_GUARD states.
 """
@@ -122,13 +127,41 @@ def _rank_gf2(vectors, within=-1):
     return r
 
 
+def _rank_gfq(field: FieldSpec, vectors) -> int:
+    """Rank over GF(q) of vectors given as lists of element indices.  Each
+    vector is reduced by the earlier basis vectors at their pivots, as in
+    `_rank_gf2`, through the field's list tables.  A nonzero remainder
+    joins the basis with its first nonzero symbol x as pivot and the factor
+    s = -1/x, so reducing a vector v by it adds v[p] * s times it."""
+    add, mul = field.add_list, field.mul_list
+    neg, inv = field.neg_list, field.inv_list
+    basis = []
+    for v in vectors:
+        for p, b, s in basis:
+            c = v[p]
+            if c:
+                m = mul[mul[c][s]]
+                v = [add[x][m[y]] for x, y in zip(v, b)]
+        for p, x in enumerate(v):
+            if x:
+                basis.append((p, v, neg[inv[x]]))
+                break
+    return len(basis)
+
+
+def _rank(field: FieldSpec, data: np.ndarray) -> int:
+    """Rank of an array of element indices.  rank(M) = rank(M^T), so the
+    fewer of its rows and columns are reduced."""
+    if data.shape[0] > data.shape[1]:
+        data = data.T
+    if field.q == 2:
+        return _rank_gf2(pack_rows(data != 0))
+    return _rank_gfq(field, data.tolist())
+
+
 def rank(m: Matrix) -> int:
     """Row rank over the field; the input is not modified."""
-    if m.field.q == 2:
-        bits = m.data != 0
-        # rank(M) = rank(M^T): reduce the fewer vectors
-        return _rank_gf2(pack_rows(bits if m.n_rows <= m.n_cols else bits.T))
-    return len(_rref(m.field, m.data)[1])
+    return _rank(m.field, m.data)
 
 
 def rref(m: Matrix) -> Matrix:

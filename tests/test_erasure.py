@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_parity_check
@@ -314,10 +314,12 @@ def test_psi_stop_lattice_matches_oracle_and_per_weight(h, chunk):
     assert table == _psi_stop_by_weight(h, None)
 
 
-# generators stay at q^k <= 64 codewords: the oracle re-enumerates the code
-# for every one of the 2^n patterns
-@settings(max_examples=60, deadline=None)
-@given(small_matrices({2: 6, 3: 3, 4: 3}), CHUNKS)
+# generators stay at q^k <= 169 codewords: the oracle re-enumerates the
+# code for every one of the 2^n patterns
+@settings(max_examples=100, deadline=None)
+@given(small_matrices({2: 6, 3: 3, 4: 3, 5: 3, 13: 2}), CHUNKS)
+# H gets a column led by 7, a symbol other than +-1, where -x and -1/x differ
+@example(Matrix(make_field(13), [[0, 3, 5, 0, 7]]), 8)
 def test_psi_ml_lattice_matches_oracle_and_per_weight(g, chunk):
     code = LinearCode.from_generator(g)
     rows, q = g.data.tolist(), g.field.q
@@ -337,6 +339,21 @@ def test_lowest_failing_weight_is_s_and_d(name):
         psi_c = psi_ml(code).counts
     assert min(w for w, c in enumerate(psi_h) if c) == stopping_distance(h).s
     assert min(w for w, c in enumerate(psi_c) if c) == code.min_distance()
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_reed_solomon_ml_tables_stay_on_the_lattice(q):
+    # the complete ML tables of RS [11, 5] and RS [13, 5] stay on the
+    # lattice: for RS [11, 5] both paths took 21-32 ms, for RS [13, 5] the
+    # lattice took 57-79 ms and the per-weight path 123-206 ms
+    h = Matrix(make_field(q), [[pow(x, i, q) for x in range(q)]
+                               for i in range(q - 5)])
+    with mock.patch.object(erasure, "_psi_ml_on_lattice",
+                           wraps=_psi_ml_on_lattice) as lattice:
+        counts = psi_ml(LinearCode.from_parity_check(h)).counts
+    lattice.assert_called_once()
+    # MDS: any q - 5 columns of h are independent, any more are dependent
+    assert counts == [0] * (q - 4) + [comb(q, w) for w in range(q - 4, q + 1)]
 
 
 def _bit_rows_24():

@@ -30,34 +30,38 @@ def test_rank_golay_matrices():
     assert ref_rank(hp24.data.tolist(), 2) == 12
 
 
-def _low_rank_bits(rng, m, n, t):
-    """A random m x n binary matrix of rank at most t."""
-    a = rng.integers(0, 2, size=(m, t))
-    b = rng.integers(0, 2, size=(t, n))
-    return (a @ b % 2).astype(np.uint8)
+def _low_rank(rng, f, m, n, t):
+    """A random m x n matrix over f of rank at most t."""
+    return mat_mul(f, rng.integers(0, f.q, size=(m, t)),
+                   rng.integers(0, f.q, size=(t, n))).astype(np.uint8)
 
 
 @st.composite
-def binary_matrices(draw):
-    """Small, tall (more rows than columns), wide (more than 64 columns)
-    or zero-row binary matrices, of a drawn rank bound."""
+def rank_matrices(draw):
+    """Small, tall (more rows than columns, so `rank` reduces the columns),
+    wide (more than 64 columns), zero-row or m x 0 matrices over GF(q),
+    q in {2, 3, 4, 5, 13}, of a drawn rank bound."""
+    f = make_field(draw(st.sampled_from([2, 3, 4, 5, 13])))
     m, n = draw(st.one_of(
         st.tuples(st.integers(1, 11), st.integers(1, 11)),
         st.integers(1, 30).flatmap(
             lambda n: st.tuples(st.integers(n + 1, 40), st.just(n))),
         st.tuples(st.integers(1, 12), st.integers(65, 150)),
-        st.tuples(st.just(0), st.integers(0, 80))))
+        st.tuples(st.just(0), st.integers(0, 80)),
+        st.tuples(st.integers(1, 12), st.just(0))))
     t = draw(st.integers(0, min(m, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _low_rank_bits(rng, m, n, t)
+    return f, _low_rank(rng, f, m, n, t)
 
 
-@settings(max_examples=100, deadline=None)
-@given(binary_matrices())
-def test_packed_and_generic_rank_agree(data):
-    gf2 = make_field(2)
-    assert (rank(Matrix(gf2, data)) == len(_rref(gf2, data)[1])
-            == ref_rank(data.tolist(), 2))
+@settings(max_examples=200, deadline=None)
+@given(rank_matrices())
+def test_packed_and_generic_rank_agree(fm):
+    # the GF(2) kernel on packed ints and the q > 2 kernel on lists, each
+    # against `_rref` and the textbook elimination
+    f, data = fm
+    assert (rank(Matrix(f, data)) == len(_rref(f, data)[1])
+            == ref_rank(data.tolist(), f.q))
 
 
 @settings(max_examples=60, deadline=None)
@@ -65,7 +69,8 @@ def test_packed_and_generic_rank_agree(data):
 def test_batch_rank_matches_single_rank(n, m, seed):
     # the array form of the kernel ranks the columns of each mask at once
     rng = np.random.default_rng(seed)
-    bits = _low_rank_bits(rng, m, n, int(rng.integers(0, min(m, n) + 1)))
+    bits = _low_rank(rng, make_field(2), m, n,
+                     int(rng.integers(0, min(m, n) + 1)))
     rows = pack_rows(bits != 0)
     masks = pack_words(rng.integers(0, 2, size=(40, n)) != 0)[:, 0]
     batch = _rank_gf2(rows, masks.astype(mask_dtype(n)))
@@ -111,9 +116,7 @@ def field_matrices(draw):
                           rng.integers(0, f.q, size=(m, n - m))])
         return f, data[:, rng.permutation(n)].astype(np.uint8)
     n = draw(st.integers(65, 100) if kind == "wide" else st.integers(1, 10))
-    t = draw(st.integers(0, min(m, n)))
-    return f, mat_mul(f, rng.integers(0, f.q, size=(m, t)),
-                      rng.integers(0, f.q, size=(t, n))).astype(np.uint8)
+    return f, _low_rank(rng, f, m, n, draw(st.integers(0, min(m, n))))
 
 
 @settings(max_examples=120, deadline=None)
