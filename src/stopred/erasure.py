@@ -12,9 +12,13 @@ estimated cost is below that of the per-weight path.
 Every other table (more columns, a w_max cut, too many codewords, or a
 high-rate code or low-rank H, where few patterns need testing) is counted
 exhaustively per weight, LATTICE_CHUNK pattern masks at a time: peeling by
-`_peel_residues`, binary ML by the batched GF(2) rank of the erased
-columns (`linalg._rank_gf2`), and ML over q > 2 by `ml_decode` one pattern
-at a time, which ranks the erased columns with the vector kernel
+`_peel_residues`, which carries into each pass only the patterns that the
+last one changed and left nonempty, binary ML by the batched GF(2) rank of
+the erased columns (`linalg._rank_gf2`), and ML over q > 2 by `ml_decode`
+one pattern at a time.  The single-pattern decoders do only the work that
+depends on the pattern: `iterative_decode` peels on the check matrix's
+cached row masks, and `ml_decode` ranks the erased columns of its cached
+row basis (`Matrix._ml_form`) with `linalg._rank_gf2` or the vector kernel
 `linalg._rank_gfq`.  Two analytic shortcuts are exact and used to avoid
 pointless enumeration there: once every pattern of some weight fails, every
 heavier weight fails too (failure is monotone under adding erasures); and
@@ -27,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
+from operator import index
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +40,7 @@ from ._bits import (LATTICE_CHUNK, count_by_popcount, mask_to_positions,
                     pack_words, popcount, positions_to_mask, up_close,
                     weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _enumerate_combinations, _rank, _rank_gf2, rank)
+                     _enumerate_combinations, _rank_gf2, _rank_gfq, rank)
 
 WEIGHT_GUARD = 1 << 25
 LATTICE_MAX_N = 26  # a complete table needs one byte per subset: 64 MiB
@@ -111,7 +116,18 @@ class PsiProfile:
 
 
 def _pattern_set(positions, n: int) -> frozenset:
-    pos = frozenset(int(p) for p in positions)
+    """The erased positions as a set.  Each entry must be an integer (a
+    float, a string or a bool is refused, not read as a position)."""
+    pos = []
+    for p in positions:
+        try:
+            if type(p) is bool:
+                raise TypeError
+            pos.append(index(p))
+        except TypeError:
+            raise ValueError(f"erased position {p!r} is not an integer"
+                             ) from None
+    pos = frozenset(pos)
     if pos and (min(pos) < 0 or max(pos) >= n):
         raise ValueError(f"erased position out of range [0, {n})")
     return pos
@@ -130,23 +146,45 @@ def iterative_decode(h: Matrix, erased) -> PeelOutcome:
 
 
 def ml_decode(h: Matrix, erased) -> bool:
-    """True iff the erased columns of h are linearly independent."""
-    pattern = sorted(_pattern_set(erased, h.n_cols))
-    return _rank(h.field, h.data[:, pattern]) == len(pattern)
+    """True iff the erased columns of h are linearly independent.  They are
+    ranked as columns of h's cached row basis; a pattern heavier than the
+    rank has dependent columns at once."""
+    pattern = _pattern_set(erased, h.n_cols)
+    r, cols = h._ml_form()
+    if len(pattern) > r:
+        return False
+    vectors = [cols[j] for j in pattern]
+    if h.field.q == 2:
+        return _rank_gf2(vectors) == len(pattern)
+    return _rank_gfq(h.field, vectors) == len(pattern)
 
 
 def _peel_residues(row_masks: Sequence[int], erased):
     """Peeling fixpoint of one pattern mask (an int) or of an array of them:
     a check that meets the erased positions exactly once resolves that one.
-    The operators below act alike on both, so one loop serves both; x = 0
-    passes the single-bit test but then clears nothing."""
+    The operators below act alike on both, so one pass rule serves both;
+    x = 0 passes the single-bit test but then clears nothing.  A pattern
+    that a pass leaves unchanged or empty is settled.  An array carries
+    only its live patterns into the next pass and writes each pass's
+    residues into a copy, so the input array is never written."""
+    batch = isinstance(erased, np.ndarray)
+    if batch:
+        out, idx = erased.copy(), np.arange(len(erased))
+    cur = erased
     while True:
-        before = erased
+        before = cur
         for r in row_masks:
-            x = erased & r
-            erased = erased ^ x * (x & (x - 1) == 0)
-        if np.array_equal(erased, before):
-            return erased
+            x = cur & r
+            cur = cur ^ x * (x & (x - 1) == 0)
+        live = (cur != before) & (cur != 0)
+        if not batch:
+            if not live:
+                return cur
+            continue
+        out[idx] = cur
+        idx, cur = idx[live], cur[live]
+        if not len(idx):
+            return out
 
 
 def _check_weight_guard(n: int, w: int) -> None:

@@ -1,10 +1,12 @@
 """Matrices and linear codes over GF(q).
 
 Matrices are dense numpy uint8 grids of element indices, over any field.
-`_rref` builds reduced forms only: one gives a matrix's row basis and, by
-`_kernel`, its nullspace.  Every codeword set comes from one span engine,
-`_enumerate_combinations`, which extends the span of a basis row by row
-with field adds.
+A `Matrix` is immutable, so it caches the two forms that the decoders read
+on every call: its rows packed into ints, and the rank and columns of its
+row basis.  `_rref` builds reduced forms only: one gives a matrix's row
+basis and, by `_kernel`, its nullspace.  Every codeword set comes from one
+span engine, `_enumerate_combinations`, which extends the span of a basis
+row by row with field adds.
 Ranks come from two elimination kernels that share one rule: a vector is
 reduced by the earlier basis vectors at their pivots.  `_rank_gf2` works on
 vectors packed into ints; it takes one mask or an array of masks, so the
@@ -34,9 +36,14 @@ class EnumerationTooLargeError(ValueError):
 
 
 class Matrix:
-    """Dense matrix over a FieldSpec; rows are checks, columns positions."""
+    """Dense matrix over a FieldSpec; rows are checks, columns positions.
 
-    __slots__ = ("field", "data")
+    `data` is a read-only copy of the rows given, so the two forms derived
+    from it are built on first use and kept: the packed row supports
+    (`row_masks`) and the ML form (`_ml_form`).
+    """
+
+    __slots__ = ("field", "data", "_masks", "_ml")
 
     def __init__(self, field: FieldSpec, rows):
         raw = np.asarray(rows)
@@ -52,7 +59,10 @@ class Matrix:
             if raw.max() >= q:
                 raise ValueError(f"entry {raw.max()} out of range for GF({q})")
         self.field = field
-        self.data = raw.astype(np.uint8)
+        self.data = raw.astype(np.uint8)  # a copy: the caller's stays writable
+        self.data.flags.writeable = False
+        self._masks: Optional[List[int]] = None
+        self._ml: Optional[Tuple[int, tuple]] = None
 
     @property
     def n_rows(self) -> int:
@@ -63,8 +73,25 @@ class Matrix:
         return self.data.shape[1]
 
     def row_masks(self) -> List[int]:
-        """Support of each row packed into an int (bit j = column j nonzero)."""
-        return pack_rows(self.data != 0)
+        """Support of each row packed into an int (bit j = column j nonzero);
+        a new list each call, so the cached one cannot be changed."""
+        if self._masks is None:
+            self._masks = pack_rows(self.data != 0)
+        return list(self._masks)
+
+    def _ml_form(self) -> Tuple[int, tuple]:
+        """(rank, column j of a row basis for each j): packed ints over the
+        basis rows for q = 2, lists of element indices otherwise.  Row
+        operations keep every dependency among the columns, so a column
+        subset of the basis is independent exactly when that of the matrix
+        is."""
+        if self._ml is None:
+            a, pivots = _rref(self.field, self.data)
+            cols = a[:len(pivots)].T
+            self._ml = (len(pivots), tuple(pack_rows(cols != 0)
+                                           if self.field.q == 2
+                                           else cols.tolist()))
+        return self._ml
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field.q == other.field.q

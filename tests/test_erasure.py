@@ -1,3 +1,4 @@
+import re
 from contextlib import contextmanager
 from itertools import combinations
 from math import comb
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_parity_check
-from reference import ref_codewords, ref_ml_fails, ref_peel
+from reference import (f_add, f_mul, f_neg, ref_codewords, ref_ml_fails,
+                       ref_peel, ref_rank)
 from stopred import _bits, erasure
 from stopred._bits import (mask_to_positions, popcount, positions_to_mask,
                            weight_masks)
@@ -57,7 +59,9 @@ def test_peel_matches_reference():
             n = int(rng.integers(3, 71))
             m = int(rng.integers(1, 2 + n // 2))
             mat = random_parity_check(rng, q, n, m)
-            mat.data[rng.random(mat.data.shape) < rng.random()] = 0
+            data = mat.data.copy()
+            data[rng.random(data.shape) < rng.random()] = 0
+            mat = Matrix(mat.field, data)
             rows = mat.data.tolist()
             w = int(rng.integers(0, n + 1))
             pattern = tuple(int(x) for x in rng.choice(n, size=w, replace=False))
@@ -73,6 +77,50 @@ def test_peel_matches_reference():
                 for mask, residue in zip(level, batch):
                     want = ref_peel(rows, mask_to_positions(int(mask)))
                     assert int(residue) == positions_to_mask(want)
+
+
+def _one_pass(masks, erased):
+    for r in masks:
+        x = erased & r
+        if x and not x & (x - 1):
+            erased ^= x
+    return erased
+
+
+def test_batched_peel_settles_patterns_at_different_passes():
+    # checks {i, i + 1}, i = 6, ..., 0 in that order: a pass resolves only
+    # the lowest erased position of a run above 0, so {1, ..., 7} takes 7
+    # passes; position 8 is in no check, so patterns with it stay nonempty
+    n = 9
+    rows = [[int(j in (i, i + 1)) for j in range(n)] for i in range(6, -1, -1)]
+    masks = Matrix(make_field(2), rows).row_masks()
+    passes, e = 0, 0b11111110
+    while e != _one_pass(masks, e):
+        passes, e = passes + 1, _one_pass(masks, e)
+    assert passes == 7 and e == 0
+    # every pattern, shuffled so that live and settled ones interleave
+    given = np.random.default_rng(16).permutation(1 << n).astype(np.uint16)
+    kept = given.copy()
+    got = _peel_residues(masks, given)
+    assert np.array_equal(given, kept)
+    assert got.dtype == given.dtype
+    assert [int(x) for x in got] == [_peel_residues(masks, int(m))
+                                     for m in given]
+    for mask, residue in zip(given, got):
+        want = ref_peel(rows, mask_to_positions(int(mask)))
+        assert int(residue) == positions_to_mask(want)
+
+
+@pytest.mark.parametrize("decode, pattern, entry", [
+    (iterative_decode, [0.5, 3.9], "0.5"),
+    (iterative_decode, [2, True], "True"),
+    (ml_decode, np.array([True, False, True]), "np.True_"),
+    (ml_decode, ["3"], "'3'"),
+], ids=["float", "bool", "bool-mask", "string"])
+def test_non_integer_positions_are_refused(decode, pattern, entry):
+    message = re.escape(f"erased position {entry} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        decode(load_asset("h12"), pattern)
 
 
 def test_ml_decode_basics(golay24):
@@ -106,6 +154,55 @@ def test_ml_criterion_equals_support_oracle(hamming74, golay12, hexacode):
             got = ml_decode(h, pattern)
             oracle_fails = any(s <= pattern for s in supports)
             assert got == (not oracle_fails)
+
+
+def _redundant_checks(rng, q, n, k):
+    """(H rows, generator rows) of a random [n, k] code over GF(q), from the
+    reference field operations alone: checks [A | I] and generator
+    [I | -A^T], then a zero row, a copy of a check, a sum of checks and a
+    multiple of one joined to H, rows shuffled, columns permuted alike."""
+    r = n - k
+    a = rng.integers(0, q, size=(r, k)).tolist()
+    checks = [a[i] + [int(i == j) for j in range(r)] for i in range(r)]
+    gen = [[int(i == j) for j in range(k)] + [f_neg(q, a[j][i])
+                                              for j in range(r)]
+           for i in range(k)]
+    extra = [[0] * n]
+    if r:
+        total = [0] * n
+        for i in rng.choice(r, size=int(rng.integers(1, r + 1)),
+                            replace=False):
+            total = [f_add(q, x, y) for x, y in zip(total, checks[i])]
+        c = int(rng.integers(1, q))
+        extra += [checks[int(rng.integers(r))], total,
+                  [f_mul(q, c, x) for x in checks[int(rng.integers(r))]]]
+    rows = checks + extra
+    order, cols = rng.permutation(len(rows)), rng.permutation(n)
+    return ([[rows[i][j] for j in cols] for i in order],
+            [[row[j] for j in cols] for row in gen])
+
+
+def test_ml_decode_on_redundant_and_rank_deficient_checks():
+    # every pattern, the empty one and those heavier than rank(H) included;
+    # k = n gives H of zero rows only
+    rng = np.random.default_rng(14)
+    for q, k_max in ((2, 6), (3, 3), (4, 3)):
+        for _ in range(10):
+            n = int(rng.integers(1, 11))
+            k = int(rng.integers(0, min(k_max, n) + 1))
+            rows, gen = _redundant_checks(rng, q, n, k)
+            assert ref_rank(rows, q) == n - k < len(rows)
+            h = Matrix(make_field(q), rows)
+            for mask in range(1 << n):
+                pattern = mask_to_positions(mask)
+                assert ml_decode(h, pattern) == \
+                    (not ref_ml_fails(gen, q, pattern))
+        # the all-zero H, with no rows or with two: only the empty pattern
+        # is decodable
+        for m in (0, 2):
+            h = Matrix(make_field(q), np.zeros((m, 5), dtype=np.uint8))
+            assert [ml_decode(h, mask_to_positions(mask))
+                    for mask in range(1 << 5)] == [True] + [False] * 31
 
 
 def test_psi_ml_golay24(golay24):

@@ -18,6 +18,20 @@ from stopred.linalg import (EnumerationTooLargeError, LinearCode, Matrix,
                             min_distance, nullspace, rank, rref)
 
 
+def test_matrix_is_immutable_and_hands_out_copies(gf2):
+    rows = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+    m = Matrix(gf2, rows)
+    with pytest.raises(ValueError, match="read-only"):
+        m.data[0, 0] = 0
+    rows[0, 0] = 0  # the caller's array stays writable and is not shared
+    assert m.data[0, 0] == 1
+    masks = m.row_masks()
+    assert masks == [0b011, 0b110]
+    masks[0] = 0
+    masks.append(7)
+    assert m.row_masks() == [0b011, 0b110]
+
+
 def test_rank_zero_matrix(gf2):
     assert rank(Matrix(gf2, np.zeros((3, 5), dtype=np.uint8))) == 0
 
