@@ -98,6 +98,7 @@ def layers() -> dict:
         c.min_distance()
     # the 1716 x 13 GF(13) rows that perfbench's `verify mds.mat` ranks
     mds_rs13 = construct.mds_pcm(rs13_code)
+    hstar_text = cli.render_matrix_text(hstar)
     out = {
         # a new Matrix each run, so that the masks are packed, not copied
         "row_masks hp24": (
@@ -177,6 +178,13 @@ def layers() -> dict:
                            lambda m: m.n_rows),
         "nullspace hp24": (lambda: stopred.nullspace(hp24), 1,
                            lambda m: m.n_rows),
+        # the matrix files that perfbench's redundancy-search writes and
+        # reads back every cycle
+        "parse_matrix_text hstar-h24": (
+            lambda: cli.parse_matrix_text(hstar_text), 1, digest),
+        "render_matrix_text mds-rs13": (
+            lambda: cli.render_matrix_text(mds_rs13), 1,
+            lambda t: hashlib.sha256(t.encode()).hexdigest()),
     })
     return out
 

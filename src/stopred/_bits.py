@@ -108,6 +108,15 @@ def pack_rows(bits: np.ndarray) -> List[int]:
     return words_to_ints(pack_words(bits))
 
 
+def unpack_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """Inverse of pack_rows: one row of n `bool` entries per int, column j
+    set where bit j is."""
+    width = -(-n // 8)
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    return np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width),
+                         axis=1, count=n, bitorder="little").view(bool)
+
+
 def words_to_ints(lanes: np.ndarray) -> List[int]:
     """Each row of little-endian uint64 words as one int (word w holds bits
     64w..64w+63).  The words are joined most significant first, so one word

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import construct, erasure, greedy, stopping
-from .field import make_field, parse_symbol, render_symbol
+from .field import make_field, parse_symbol
 from .linalg import LinearCode, Matrix, min_distance
 
 # Reference parity-check matrices, stored in the matrix file format.
@@ -141,19 +141,26 @@ def parse_matrix_text(text: str) -> Matrix:
     f = make_field(q)
     if len(lines) < 2:
         raise ValueError("matrix file needs at least one row")
-    rows = []
+    values = {}  # each distinct symbol, parsed once
+    tokens = []
     for ln in lines[1:]:
-        symbols = ln.split()
-        if len(symbols) != n:
-            raise ValueError(f"row has {len(symbols)} symbols, expected {n}")
-        rows.append([parse_symbol(f, s) for s in symbols])
-    return Matrix(f, rows)
+        row = ln.split()
+        if len(row) != n:
+            raise ValueError(f"row has {len(row)} symbols, expected {n}")
+        if not values.keys() >= set(row):
+            for s in row:  # in reading order, so the first bad one is named
+                if s not in values:
+                    values[s] = parse_symbol(f, s)
+        tokens += row
+    data = np.fromiter(map(values.__getitem__, tokens), dtype=np.uint8,
+                       count=len(tokens))
+    return Matrix(f, data.reshape(-1, n))
 
 
 def render_matrix_text(m: Matrix) -> str:
+    symbol = m.field.symbols.__getitem__
     lines = [f"{m.field.q} {m.n_cols}"]
-    for row in m.data:
-        lines.append(" ".join(render_symbol(m.field, int(x)) for x in row))
+    lines += [" ".join(map(symbol, row)) for row in m.data.tolist()]
     return "\n".join(lines) + "\n"
 
 

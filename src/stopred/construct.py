@@ -9,15 +9,19 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
-from typing import Collection, List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import mask_to_positions, weight_masks_upto
+from ._bits import (mask_to_positions, positions_to_mask, unpack_rows,
+                    weight_masks_upto)
 from .bounds import rm_row_count
 from .field import make_field
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _rank_gf2, _rref, dual_codewords, rank)
+                     _rank_gf2, _rref_stack, dual_codewords, rank)
+
+
+SUPPORT_BLOCK = 1 << 18  # bytes of check rows reduced in one call
 
 
 class NotMDSError(ValueError):
@@ -179,32 +183,41 @@ def _mds_params(c: LinearCode) -> Tuple[int, int, int]:
     return c.n, c.k, d
 
 
-def _support_row(c: LinearCode, support: Tuple[int, ...]) -> np.ndarray:
-    """The dual codeword supported exactly on `support`, leading entry 1.
-
-    The n-k check rows reduced with the off-support columns first: in an MDS
-    code those n-k-1 columns are independent, so the last row vanishes on
-    them and has its pivot 1 at the first support column.  If they are
-    dependent, that pivot falls later and the support check fails."""
-    cols = [j for j in range(c.n) if j not in support] + list(support)
-    row = np.zeros(c.n, dtype=np.uint8)
-    row[cols] = _rref(c.field, c.parity_check.data[:, cols])[0][-1]
-    if tuple(np.flatnonzero(row).tolist()) != support:
-        raise NotMDSError(
-            f"no dual codeword with full support on {support}; input is not MDS")
-    return row
-
-
-def _support_rows(c: LinearCode, w: int,
-                  skip: Collection[Tuple[int, ...]] = ()) -> Matrix:
-    """_support_row of every weight-w support not in `skip`, in
+def _weight_supports(n: int, w: int) -> np.ndarray:
+    """The weight-w supports over n positions as int masks, in
     colexicographic order (= ascending masks)."""
-    if comb(c.n, w) > (1 << 22):
+    if comb(n, w) > (1 << 22):
         raise EnumerationTooLargeError("C(n, d-2) exceeds the 2^22 guard")
-    supports = (mask_to_positions(m)
-                for m in weight_masks_upto(c.n, w, object)[w])
-    rows = [_support_row(c, s) for s in supports if s not in skip]
-    return Matrix(c.field, np.array(rows, dtype=np.uint8).reshape(-1, c.n))
+    return weight_masks_upto(n, w, object)[w]
+
+
+def _support_rows(c: LinearCode, supports: Sequence[int]) -> Matrix:
+    """For each support (an int mask), the dual codeword supported exactly
+    on it, with leading entry 1.
+
+    The n-k check rows are reduced with the off-support columns first, then
+    the support (a stable sort of the support indicator).  In an MDS code
+    those n-k-1 columns are independent, so the last row vanishes on them
+    and has its pivot 1 at the first support column.  If they are
+    dependent, that pivot falls later and the support check fails.  The
+    column orders of a block of supports are reduced in one `_rref_stack`
+    call; blocks keep the stack within SUPPORT_BLOCK bytes."""
+    n, h = c.n, c.parity_check.data
+    rows = np.zeros((len(supports), n), dtype=np.uint8)
+    step = max(SUPPORT_BLOCK // max(h.size, 1), 1)
+    for start in range(0, len(supports), step):
+        block = supports[start:start + step]
+        inside = unpack_rows(block, n)
+        order = np.argsort(inside, axis=1, kind="stable")
+        last = _rref_stack(c.field, h.T[order].transpose(0, 2, 1))[0][:, -1]
+        # the sorted indicator is each support's indicator in its order
+        bad = np.flatnonzero(((last != 0) != np.sort(inside, axis=1)).any(1))
+        if bad.size:
+            raise NotMDSError(
+                f"no dual codeword with full support on "
+                f"{mask_to_positions(int(block[bad[0]]))}; input is not MDS")
+        rows[np.arange(start, start + len(block))[:, None], order] = last
+    return Matrix(c.field, rows)
 
 
 def mds_pcm(c: LinearCode) -> Matrix:
@@ -216,7 +229,7 @@ def mds_pcm(c: LinearCode) -> Matrix:
     n, _, d = _mds_params(c)
     if d < 2:
         raise ValueError("construction needs d >= 2")
-    return _support_rows(c, n - d + 2)
+    return _support_rows(c, _weight_supports(n, n - d + 2))
 
 
 def graham_sloane_partition(n: int, w: int) -> List[List[Tuple[int, ...]]]:
@@ -248,10 +261,10 @@ def pruned_mds_pcm(c: LinearCode) -> Matrix:
         raise ValueError("pruned construction needs d >= 3")
     d_perp = n - d + 2
     m = min(k, n - k - 1)
-    removed = set()
-    for cls in graham_sloane_partition(n, d_perp)[:m]:
-        removed.update(cls)
-    return _support_rows(c, d_perp, removed)
+    removed = {positions_to_mask(s)
+               for cls in graham_sloane_partition(n, d_perp)[:m] for s in cls}
+    return _support_rows(c, [s for s in _weight_supports(n, d_perp)
+                             if s not in removed])
 
 
 def weight_one_combination_depth(t: int) -> int:

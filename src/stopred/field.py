@@ -83,22 +83,28 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inv_list[a]
 
-    # Vectorized variants used by the linear-algebra layer.
+    # Vectorized variants used by the linear-algebra layer: element arrays
+    # in (any integer dtype, entries in [0, q)), uint8 arrays out.
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b.  A prime field adds, then subtracts q where the sum
+        reaches q: in wrapping unsigned arithmetic s - q exceeds s exactly
+        when s < q, so that is min(s, s - q).  The sum is uint16 for
+        q > 127, where it can pass 255."""
         if self.q % 2 == 0:
-            return np.bitwise_xor(a, b)
-        return (a.astype(np.int64) + b) % self.q
+            return np.bitwise_xor(a, b, dtype=np.uint8, casting="unsafe")
+        s = np.add(a, b, dtype=np.uint16 if self.q > 127 else np.uint8,
+                   casting="unsafe")
+        np.minimum(s, s - self.q, out=s)
+        return s.astype(np.uint8, copy=False)
 
     def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.q % 2 == 0:
-            return np.bitwise_xor(a, b)
-        return (a.astype(np.int64) - b) % self.q
+        return self.add_arr(a, self.neg_table[b])
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == "gf4":
-            return _GF4_MUL[a, b]
-        return (a.astype(np.int64) * b) % self.q
+        if self.q == 2:
+            return np.bitwise_and(a, b, dtype=np.uint8, casting="unsafe")
+        return self.mul_table[a, b]
 
     def __repr__(self) -> str:  # keep dataclass tables out of reprs
         return f"FieldSpec(q={self.q}, kind={self.kind!r})"
@@ -121,10 +127,10 @@ def make_field(q: int) -> FieldSpec:
         raise UnsupportedOrderError(
             f"unsupported field order {q}: need a prime <= {MAX_ORDER} or 4")
     idx = np.arange(q, dtype=np.int64)
-    add = ((idx[:, None] + idx[None, :]) % q).astype(np.uint16)
-    mul = ((idx[:, None] * idx[None, :]) % q).astype(np.uint16)
-    neg = ((-idx) % q).astype(np.uint16)
-    inv = np.zeros(q, dtype=np.uint16)
+    add = ((idx[:, None] + idx[None, :]) % q).astype(np.uint8)
+    mul = ((idx[:, None] * idx[None, :]) % q).astype(np.uint8)
+    neg = ((-idx) % q).astype(np.uint8)
+    inv = np.zeros(q, dtype=np.uint8)
     for a in range(1, q):
         inv[a] = pow(a, q - 2, q)
     symbols = tuple(str(i) for i in range(q))

@@ -3,10 +3,12 @@
 Matrices are dense numpy uint8 grids of element indices, over any field.
 A `Matrix` is immutable, so it caches the two forms that the decoders read
 on every call: its rows packed into ints, and the rank and columns of its
-row basis.  `_rref` builds reduced forms only: one gives a matrix's row
-basis and, by `_kernel`, its nullspace.  Every codeword set comes from one
-span engine, `_enumerate_combinations`, which extends the span of a basis
-row by row with field adds.
+row basis.  Reduced forms come from one elimination engine, `_rref_stack`,
+which reduces a (B, m, n) stack of matrices with one column step for the
+whole stack; `_rref` reduces one matrix as the stack of one.  One reduced
+form gives a matrix's row basis and, by `_kernel`, its nullspace.  Every
+codeword set comes from one span engine, `_enumerate_combinations`, which
+extends the span of a basis row by row with field adds.
 Ranks come from two elimination kernels that share one rule: a vector is
 reduced by the earlier basis vectors at their pivots.  `_rank_gf2` works on
 vectors packed into ints; it takes one mask or an array of masks, so the
@@ -112,29 +114,64 @@ def mat_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _rref(field: FieldSpec, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form; returns (rref array, pivot column list)."""
-    a = data.astype(np.int64).copy()
-    m, n = a.shape
-    pivots: List[int] = []
-    r = 0
+def _rref_stack(field: FieldSpec,
+                stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of each matrix of a (B, m, n) stack.
+
+    Returns (reduced, pivots): reduced[b] holds matrix b's pivot rows in
+    pivot order, then its zero rows; pivots[b] holds the pivot column of
+    each of those rows, and n for each zero row.
+
+    One column step serves the whole stack, in place on uint8 through the
+    field's tables.  In column c each matrix takes as pivot row one that
+    is not a pivot row yet and has a nonzero entry x there: the largest
+    such entry, the first of equal ones (the reduced form is unique, so
+    the choice does not show).  With p that row scaled by 1/x, each row
+    then gets g times p added: g is minus its entry in column c, and 1 - x
+    for the pivot row itself, which so becomes p.  A matrix with no such
+    row has x = 0 and a zero p, so it does not change.  The rows stay
+    where they are until the end, when they are gathered in pivot order;
+    rows that never became pivot rows are zero by then.  The loop stops
+    once every row is a pivot row.
+    """
+    a = np.array(stack, dtype=np.uint8, order="C")
+    count, m, n = a.shape
+    rows = a.reshape(count * m, n)
+    one_minus = field.add_table[1][field.neg_table]
+    free = np.ones(count * m, dtype=np.uint8)  # 0 once a row is a pivot row
+    piv = np.full(count * m, n)
+    first = np.arange(count) * m  # each matrix's first row
+    left = count * m
     for c in range(n):
-        if r == m:
+        if not left:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = rows[:, c]
+        cand = col * free
+        if not np.count_nonzero(cand):
             continue
-        p = r + int(nz[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] = field.mul_arr(a[r], field.inv(int(a[r, c])))
-        col = a[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            a = field.sub_arr(a, field.mul_arr(col[:, None], a[r][None, :]))
-        pivots.append(c)
-        r += 1
-    return a.astype(np.uint8), pivots
+        p = cand.reshape(count, m).argmax(1)
+        p += first
+        x = cand[p]  # 0 where the matrix has no pivot in this column
+        prow = field.mul_arr(field.inv_table[x][:, None],
+                             rows.take(p, 0)[:, c:])
+        g = field.neg_table[col]
+        g.put(p, one_minus[x])
+        a[:, :, c:] = field.add_arr(a[:, :, c:], field.mul_arr(
+            g.reshape(count, m, 1), prow[:, None, :]))
+        p = p.compress(x)
+        free.put(p, 0)
+        piv.put(p, c)
+        left -= len(p)
+    order = piv.reshape(count, m).argsort(1, kind="stable")
+    order += first[:, None]
+    return rows[order], piv[order]
+
+
+def _rref(field: FieldSpec, data: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form of one matrix, as the stack of one:
+    (rref array, pivot column list)."""
+    a, piv = _rref_stack(field, data[None])
+    return a[0], piv[0][piv[0] < data.shape[1]].tolist()
 
 
 def _rank_gf2(vectors, within=-1):
@@ -229,14 +266,14 @@ def _enumerate_combinations(field: FieldSpec,
     while split and (len(low) == 1 or len(low) * q <= SPAN_BLOCK):
         split -= 1
         low = np.concatenate([low] + [
-            field.add_arr(low, field.mul_arr(gen[split], c)).astype(np.uint8)
+            field.add_arr(low, field.mul_arr(gen[split], c))
             for c in range(1, q)])
     if not split:
         yield low
         return
     for high in _enumerate_combinations(field, gen[:split]):
         for word in high:
-            yield field.add_arr(low, word).astype(np.uint8)
+            yield field.add_arr(low, word)
 
 
 class LinearCode:

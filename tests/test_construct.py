@@ -1,4 +1,6 @@
+import re
 from itertools import combinations, product
+from unittest import mock
 from math import comb
 
 import numpy as np
@@ -6,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import f_add, f_mul
-from stopred._bits import mask_to_positions, weight_masks
+from reference import f_add, f_mul, ref_codewords
+from stopred._bits import mask_to_positions, positions_to_mask, weight_masks
 from stopred.cli import load_asset
 from stopred.field import make_field
-from stopred.linalg import LinearCode, Matrix, mat_mul, rank
-from stopred.construct import (NotMDSError, _support_row, combination_pcm,
+from stopred.linalg import LinearCode, Matrix, mat_mul, nullspace, rank
+from stopred import construct
+from stopred.construct import (NotMDSError, _support_rows, combination_pcm,
                                direct_sum_pcm,
                                extend_pcm, full_dual_pcm,
                                graham_sloane_partition, mds_pcm,
@@ -316,7 +319,71 @@ def test_support_row_refuses_non_mds(hamming74, w):
     # vanishing off five positions span one of them, off six positions two
     for support in combinations(range(7), w):
         with pytest.raises(NotMDSError, match="input is not MDS"):
-            _support_row(hamming74, support)
+            _support_rows(hamming74, [positions_to_mask(support)])
+
+
+@pytest.mark.parametrize("per_block", [1, 4, 1000])
+def test_mds_pcm_names_the_first_failing_support(gf2, per_block):
+    # the [7, 1, 7] repetition generator passes the Singleton check, but the
+    # checks span the words with even weight on positions 0..5 and any
+    # symbol at 6.  So a support {i, 6} carries no such word, and (0, 6)
+    # comes first of those in colexicographic order, 16th after all of
+    # 0..5: in a later block when the blocks are small.
+    code = LinearCode(Matrix(gf2, [[1] * 7]),
+                      nullspace(Matrix(gf2, [[1] * 6 + [0]])))
+    with mock.patch.object(construct, "SUPPORT_BLOCK", per_block * 6 * 7), \
+            pytest.raises(NotMDSError, match=re.escape(
+                "no dual codeword with full support on (0, 6); "
+                "input is not MDS")):
+        mds_pcm(code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_support_rows_match_the_row_space(data):
+    # checks of any code: a support passes when the words of the row space
+    # that vanish off it are the multiples of one word, with full support
+    # on it; otherwise the first support that fails is named, also when
+    # the supports are reduced in blocks of a few.  Reed-Solomon checks
+    # (q prime, n <= q) pass on every support.
+    rs = data.draw(st.booleans(), label="rs")
+    q = data.draw(st.sampled_from([3, 5, 7] if rs else [2, 3, 4, 5, 7]),
+                  label="q")
+    n = data.draw(st.integers(2, min(q, 8) if rs else 8), label="n")
+    m_max = max(r for r in range(1, n) if q ** r <= 4096)
+    m = m_max - data.draw(st.integers(0, m_max - 1), label="m_max - m")
+    if rs:
+        points = data.draw(st.permutations(range(q)))[:n]
+        rows = [[pow(x, i, q) for x in points] for i in range(m)]
+    else:
+        rows = data.draw(st.lists(st.lists(
+            st.integers(0, q - 1), min_size=n, max_size=n),
+            min_size=m, max_size=m))
+    h = Matrix(make_field(q), rows)
+    assume(rank(h) == m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    supports = [int(s) for s in weight_masks(n, n - m + 1)
+                if rng.random() < 0.8]
+    words = [w for w in ref_codewords(rows, q) if any(w)]
+    want, failing = [], None
+    for mask in supports:
+        support = mask_to_positions(mask)
+        inside = [w for w in words
+                  if all(x == 0 for j, x in enumerate(w) if j not in support)]
+        if len(inside) != q - 1 or not all(all(w[j] for j in support)
+                                           for w in inside):
+            failing = support
+            break
+        want.append(next(list(w) for w in inside if w[support[0]] == 1))
+    code = LinearCode.from_parity_check(h)
+    per_block = data.draw(st.integers(1, 4), label="supports per block")
+    with mock.patch.object(construct, "SUPPORT_BLOCK", per_block * m * n):
+        if failing is None:
+            assert _support_rows(code, supports).data.tolist() == want
+        else:
+            with pytest.raises(NotMDSError,
+                               match=re.escape(f"on {failing};")):
+                _support_rows(code, supports)
 
 
 def test_graham_sloane_partition_properties():

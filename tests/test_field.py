@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import f_add, f_neg
 from stopred.field import (UnsupportedOrderError, make_field, parse_symbol,
                            render_symbol)
 
@@ -102,3 +105,19 @@ def test_vectorized_ops_match_tables():
         assert np.array_equal(f.add_arr(a, b), f.add_table[a, b])
         assert np.array_equal(f.sub_arr(a, b), f.add_table[a, f.neg_table[b]])
         assert np.array_equal(f.mul_arr(a, b), f.mul_table[a, b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5, 13, 131, 251]).flatmap(lambda q: st.tuples(
+    st.just(q), st.lists(st.tuples(st.integers(0, q - 1),
+                                   st.integers(0, q - 1)), max_size=40))))
+def test_prime_adds_stay_uint8(case):
+    # uint8 in, uint8 out, with no wrap: for q > 127 a sum can pass 255
+    q, pairs = case
+    pairs.append((q - 1, q - 1))
+    a, b = (np.array(v, dtype=np.uint8) for v in zip(*pairs))
+    f = make_field(q)
+    add, sub = f.add_arr(a, b), f.sub_arr(a, b)
+    assert add.dtype == sub.dtype == np.uint8
+    assert add.tolist() == [f_add(q, x, y) for x, y in pairs]
+    assert sub.tolist() == [f_add(q, x, f_neg(q, y)) for x, y in pairs]

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (ref_codewords, ref_dual_codewords, ref_min_distance,
@@ -14,6 +14,7 @@ from stopred.construct import full_dual_pcm
 from stopred.field import make_field
 from stopred.linalg import (EnumerationTooLargeError, LinearCode, Matrix,
                             _enumerate_combinations, _rank_gf2, _rref,
+                            _rref_stack,
                             dual_codewords, enumerate_codewords, mat_mul,
                             min_distance, nullspace, rank, rref)
 
@@ -66,6 +67,51 @@ def rank_matrices(draw):
     t = draw(st.integers(0, min(m, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return f, _low_rank(rng, f, m, n, t)
+
+
+@st.composite
+def matrix_stacks(draw):
+    """(field, (B, m, n) stack) over GF(q), q in {2, 3, 4, 5, 13, 251}: each
+    matrix of its own drawn rank, with some columns zeroed and one row
+    repeated; widths up to 10 or above 64, and B from 0 to 4."""
+    f = make_field(draw(st.sampled_from([2, 3, 4, 5, 13, 251])))
+    count = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 7))
+    n = draw(st.one_of(st.integers(1, 10), st.integers(65, 80)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((count, m, n), dtype=np.uint8)
+    for a in stack:
+        a[:] = _low_rank(rng, f, m, n, int(rng.integers(0, min(m, n) + 1)))
+        a[:, rng.random(n) < 0.2] = 0
+        if m > 1:
+            a[rng.integers(0, m)] = a[rng.integers(0, m)]
+    return f, stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_stacks())
+@example((make_field(2), np.zeros((0, 3, 5), dtype=np.uint8)))
+@example((make_field(251), np.array([[[250, 3, 0], [1, 1, 0]]],
+                                     dtype=np.uint8)))
+def test_stack_reduction_is_each_matrix_rref(case):
+    f, stack = case
+    reduced, pivots = _rref_stack(f, stack)
+    assert reduced.shape == stack.shape and reduced.dtype == np.uint8
+    n = stack.shape[2]
+    for data, a, piv in zip(stack, reduced, pivots):
+        alone, alone_piv = _rref(f, data)
+        assert np.array_equal(a, alone) and piv[piv < n].tolist() == alone_piv
+        r = int(np.count_nonzero(piv < n))
+        # RREF: leading ones in rising columns, alone in their columns, then
+        # zero rows
+        assert piv[:r].tolist() == sorted(set(piv[:r].tolist()))
+        assert (piv[r:] == n).all() and not a[r:].any()
+        for i, c in enumerate(piv[:r]):
+            assert a[i, c] == 1 and not a[i, :c].any()
+            assert np.count_nonzero(a[:, c]) == 1
+        # the same row space as the input
+        assert r == ref_rank(data.tolist(), f.q)
+        assert ref_rank(a.tolist() + data.tolist(), f.q) == r
 
 
 @settings(max_examples=200, deadline=None)
