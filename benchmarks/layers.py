@@ -92,6 +92,7 @@ def layers() -> dict:
     rm37 = construct.rm_generator(3, 7)  # 64 x 128: two words per node
     # distances are cached on a code: find them before the timed builds
     rs13_code = code_of(rs13)
+    h24_code = code_of(h24)
     rep70 = LinearCode.from_generator(  # [70, 1, 70]: 2415 rows of weight 2
         Matrix(field.make_field(2), np.ones((1, 70), dtype=np.uint8)))
     for c in (rs13_code, rep70):
@@ -126,6 +127,15 @@ def layers() -> dict:
         "psi_ml rm26 w_max=3": (
             lambda: stopred.psi_ml(LinearCode.from_generator(rm26), w_max=3),
             1, lambda p: p.counts),
+        # complete tables on the subset lattice; rs13 marks q > 2 supports
+        "psi_stop h24": (lambda: stopred.psi_stop(h24), 1,
+                         lambda p: p.counts),
+        "psi_stop hp24": (lambda: stopred.psi_stop(hp24), 1,
+                          lambda p: p.counts),
+        "psi_ml h24": (lambda: stopred.psi_ml(h24_code), 1,
+                       lambda p: p.counts),
+        "psi_ml rs13": (lambda: stopred.psi_ml(rs13_code), 1,
+                        lambda p: p.counts),
         "rank hstar-h24": (lambda: stopred.rank(hstar), 1, int),
         "rank mds-rs13": (lambda: stopred.rank(mds_rs13), 1, int),
         # a new code each run: the distance is cached on the code

@@ -10,7 +10,10 @@ packed bitset over the sets, marking those that contain j.  `meet_once`
 reads the planes of a support to find the sets it meets in exactly one
 position, 64 sets per word operation.
 
-A subset lattice is a `bool` array of length 2^n indexed by such masks.
+A subset lattice over n positions takes one bit per subset: 2 MiB at
+n = 24 and 8 MiB at n = 26.  It is 2^(n-6) little-endian uint64 words, and
+bit s of word i is subset 64 i + s.  For n < 6 it is one word whose bits
+from 2^n up stay clear.
 `up_close` closes it upwards in place and `count_by_popcount` counts it by
 subset size; neither needs more than one chunk of scratch memory.
 """
@@ -24,10 +27,14 @@ import numpy as np
 
 LATTICE_CHUNK = 1 << 16
 
-# Keep-masks of the bytes whose index bit i is clear, i = 0, 1, 2, in a
-# little-endian 64-bit word of eight consecutive lattice entries.
-_LOW_BYTES = [np.uint64(m) for m in
-              (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
+# The 64 subsets of a lattice word differ in their low six bits s.  Bit s
+# of _LOW_BITS[i] is set where bit i of s is clear, and bit s of
+# _WEIGHT_BITS[j] where s has j bits set.
+_LOW_BITS = [np.uint64(m) for m in
+             (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+              0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
+_WEIGHT_BITS = [np.uint64(sum(1 << s for s in range(64) if s.bit_count() == j))
+                for j in range(7)]
 
 
 def popcount(a: np.ndarray) -> np.ndarray:
@@ -35,46 +42,57 @@ def popcount(a: np.ndarray) -> np.ndarray:
     return np.bitwise_count(a)
 
 
-def up_close(a: np.ndarray) -> np.ndarray:
-    """In place, set a[S] for every S that has a subset T with a[T] set.
+def lattice_words(n: int) -> int:
+    """Number of uint64 words of a packed subset lattice over n positions."""
+    return 1 << max(n - 6, 0)
 
-    `a` is a contiguous `bool` array of length 2^n.  This is Yates'
-    sum-over-subsets transform with OR: pass i folds each entry into the
-    one that also holds bit i.  Entries are single bytes, so the passes for
-    bits 0..2 are shifts inside 64-bit words, one chunk at a time, and the
-    rest fold whole words in place.
+
+def _check_lattice(words: np.ndarray, n: int) -> None:
+    if words.dtype != np.uint64 or words.shape != (lattice_words(n),):
+        raise ValueError(f"expected {lattice_words(n)} uint64 words for a "
+                         f"lattice over {n} positions")
+
+
+def up_close(words: np.ndarray, n: int) -> np.ndarray:
+    """In place, set subset S of a packed lattice over n positions for every
+    S that has a set subset T.
+
+    This is Yates' sum-over-subsets transform with OR: pass i folds each
+    subset into the one that also holds bit i.  The passes for bits 0..5
+    are shifts inside each word, one chunk at a time; the rest fold whole
+    words in place.
     """
-    n = len(a).bit_length() - 1
-    if len(a) != 1 << n or a.dtype != np.bool_:
-        raise ValueError("expected a bool array of length 2^n")
-    if n < 3:
-        for i in range(n):
-            v = a.reshape(-1, 2, 1 << i)
-            v[:, 1] |= v[:, 0]
-        return a
-    words = a.view("<u8")
-    step = max(LATTICE_CHUNK // 8, 1)
-    for start in range(0, len(words), step):
-        block = words[start:start + step]
-        for i, keep in enumerate(_LOW_BYTES):
-            block |= (block & keep) << np.uint64(8 << i)
-    for i in range(n - 3):
+    _check_lattice(words, n)
+    for start in range(0, len(words), LATTICE_CHUNK):
+        block = words[start:start + LATTICE_CHUNK]
+        for i in range(min(n, 6)):
+            block |= (block & _LOW_BITS[i]) << np.uint64(1 << i)
+    for i in range(n - 6):
         v = words.reshape(-1, 2, 1 << i)
         v[:, 1] |= v[:, 0]
-    return a
+    return words
 
 
-def count_by_popcount(a: np.ndarray) -> List[int]:
-    """counts[w] = number of set entries a[S] with |S| = w, w = 0..n."""
-    n = len(a).bit_length() - 1
-    chunk = min(len(a), LATTICE_CHUNK)
-    low = popcount(np.arange(chunk, dtype=np.uint32))
-    width = chunk.bit_length()  # weights 0..log2(chunk) inside a chunk
+def count_by_popcount(words: np.ndarray, n: int) -> List[int]:
+    """counts[w] = number of set subsets S with |S| = w, w = 0..n, of a
+    packed lattice over n positions.
+
+    The subsets of word i with low weight j have weight popcount(i) + j, so
+    each j adds the popcounts of words & _WEIGHT_BITS[j] by popcount(i).
+    """
+    _check_lattice(words, n)
+    chunk = min(len(words), LATTICE_CHUNK)
+    low = popcount(np.arange(chunk, dtype=np.uint32)).astype(np.intp)
+    width = chunk.bit_length()  # index weights 0..log2(chunk) in a chunk
     counts = np.zeros(n + 1, dtype=np.int64)
-    for start in range(0, len(a), chunk):
+    for start in range(0, len(words), chunk):
+        block = words[start:start + chunk]
         high = start.bit_count()
-        counts[high:high + width] += np.bincount(low[a[start:start + chunk]],
-                                                 minlength=width)
+        for j in range(min(n, 6) + 1):
+            # the float sums are exact: a chunk holds at most 2^22 subsets
+            sums = np.bincount(low, weights=popcount(block & _WEIGHT_BITS[j]),
+                               minlength=width)
+            counts[high + j:high + j + width] += sums.astype(np.int64)
     return [int(c) for c in counts]
 
 

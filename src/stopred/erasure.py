@@ -4,10 +4,12 @@ pattern counts by weight, and decoding-failure curves.
 A decoder fails on a pattern exactly when the pattern contains a witness:
 a nonempty stopping set for peeling, the support of a nonzero codeword for
 ML.  A complete table for n <= LATTICE_MAX_N columns can therefore be
-counted on the lattice of all 2^n subsets (one byte each): mark the
-witnesses, close the marks upwards, and count them by popcount.  ML also
-needs the q^k codewords within ENUM_GUARD.  The lattice runs when its
-estimated cost is below that of the per-weight path.
+counted on the lattice of all 2^n subsets, one bit per subset: 2 MiB at
+n = 24 and 8 MiB at n = 26.  Mark the witnesses, close the marks upwards,
+and count them by popcount.  ML also needs the q^k codewords within
+ENUM_GUARD, and marks their supports on one byte per subset before packing
+them.  The lattice runs when its estimated cost is below that of the
+per-weight path.
 
 Every other table (more columns, a w_max cut, too many codewords, or a
 high-rate code or low-rank H, where few patterns need testing) is counted
@@ -36,14 +38,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import (LATTICE_CHUNK, count_by_popcount, mask_to_positions,
-                    pack_words, popcount, positions_to_mask, up_close,
-                    weight_masks)
+from ._bits import (LATTICE_CHUNK, count_by_popcount, lattice_words,
+                    mask_to_positions, pack_words, popcount,
+                    positions_to_mask, up_close, weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
                      _enumerate_combinations, _rank_gf2, _rank_gfq, rank)
 
 WEIGHT_GUARD = 1 << 25
-LATTICE_MAX_N = 26  # a complete table needs one byte per subset: 64 MiB
+LATTICE_MAX_N = 26  # one bit per subset: 2 MiB at n = 24, 8 MiB at n = 26
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,8 @@ def _on_lattice(n: int, w_max: Optional[int]) -> bool:
     return n <= LATTICE_MAX_N and (w_max is None or w_max >= n)
 
 
-def _lattice_cheaper(n: int, r: int, lattice_ns: int, pattern_ns: int) -> bool:
+def _lattice_cheaper(n: int, r: int, lattice_ns: float,
+                     pattern_ns: float) -> bool:
     """The lattice costs no more than the per-weight path, which tests at
     most every pattern of weight <= r (heavier ones fail by the rank
     shortcut).  Costs are in ns; the callers' unit costs were measured on
@@ -207,39 +210,64 @@ def _lattice_cheaper(n: int, r: int, lattice_ns: int, pattern_ns: int) -> bool:
 
 
 def _stopping_sets(row_masks: Sequence[int], n: int) -> np.ndarray:
-    """Subset lattice of the nonempty stopping sets: entry S is set iff no
-    row meets S in exactly one position.
+    """Packed subset lattice of the nonempty stopping sets: subset S is set
+    iff no row meets S in exactly one position.
 
-    All subsets of one chunk share the bits above the chunk, so a row meets
-    those bits in a fixed number of positions: none (the low bits must not
-    meet the row exactly once), one (the low bits must miss the row), or
-    more (the row cannot cover any subset of the chunk).
+    The 64 subsets of a word share their high part.  Where it meets a row
+    in no position, the low part must not meet the row exactly once; in
+    one, the low part must meet it; in more, the row rules out no subset
+    of the word.  So each row ANDs one mask over the low part into the
+    words whose high part meets it at most once.  In a chunk viewed with
+    one axis per bit of the word index, those words are the view with all
+    of the row's axes at 0 and the views with one of them at 1; the bits
+    above the chunk are the same for all its words.
     """
-    size = 1 << n
+    size = lattice_words(n)
     chunk = min(size, LATTICE_CHUNK)
-    low = np.arange(chunk, dtype=np.uint16)
-    rows = [(r, np.uint16(r & (chunk - 1))) for r in row_masks if r]
-    out = np.empty(size, dtype=bool)
+    bits = chunk.bit_length() - 1
+    rows = [r for r in row_masks if r]
+    # meets[k, s] = |row k & s| over the low parts s = 0..63, and
+    # masks[k, c] the low parts kept when the high part meets row k c times
+    meets = popcount(np.arange(64, dtype=np.uint64)
+                     & np.array([r & 63 for r in rows], dtype=np.uint64
+                                ).reshape(-1, 1))
+    masks = np.packbits(np.stack([meets != 1, meets != 0], axis=1), axis=2,
+                        bitorder="little").view("<u8")[..., 0]
+    out = np.empty(size, dtype=np.uint64)
     for start in range(0, size, chunk):
         ok = out[start:start + chunk]
-        ok[:] = True
-        for r, r_low in rows:
-            high = start & r
-            if high == 0:
-                ok &= popcount(low & r_low) != 1
-            elif high & (high - 1) == 0:
-                ok &= (low & r_low) != 0
-    out[0] = False  # the empty set is no witness
+        ok[:] = np.uint64((1 << min(1 << n, 64)) - 1)  # no bits past 2^n
+        axes = ok.reshape((2,) * bits)  # axis a is index bit bits - 1 - a
+        for k, r in enumerate(rows):
+            high = r >> 6
+            above = (start & high).bit_count()
+            if above > 1:
+                continue
+            axis = [bits - 1 - b for b in range(bits) if high >> b & 1]
+            at = [slice(None)] * bits + [Ellipsis]  # a view even at 0-d
+            for a in axis:
+                at[a] = 0
+            view = axes[tuple(at)]
+            view &= masks[k, above]
+            if above:
+                continue
+            for a in axis:
+                at[a] = 1
+                view = axes[tuple(at)]
+                view &= masks[k, 1]
+                at[a] = 0
+    out[0] &= ~np.uint64(1)  # the empty set is no witness
     return out
 
 
 def _codeword_supports(c: LinearCode) -> np.ndarray:
-    """Subset lattice with the support of every nonzero codeword set."""
-    out = np.zeros(1 << c.n, dtype=bool)
+    """Packed subset lattice with the support of every nonzero codeword
+    set.  The supports are marked on one byte per subset, then packed."""
+    marks = np.zeros(64 * lattice_words(c.n), dtype=bool)
     for block in _enumerate_combinations(c.field, c.generator.data):
-        out[pack_words(block != 0)[:, 0]] = True
-    out[0] = False  # the zero codeword
-    return out
+        marks[pack_words(block != 0)[:, 0]] = True
+    marks[0] = False  # the zero codeword
+    return np.packbits(marks, bitorder="little").view("<u8")
 
 
 def _count_by_weight(n: int, r: int, w_max: Optional[int],
@@ -292,11 +320,12 @@ def _psi_ml_by_weight(c: LinearCode,
 
 
 def _psi_stop_on_lattice(h: Matrix) -> List[int]:
-    return count_by_popcount(up_close(_stopping_sets(h.row_masks(), h.n_cols)))
+    n = h.n_cols
+    return count_by_popcount(up_close(_stopping_sets(h.row_masks(), n), n), n)
 
 
 def _psi_ml_on_lattice(c: LinearCode) -> List[int]:
-    return count_by_popcount(up_close(_codeword_supports(c)))
+    return count_by_popcount(up_close(_codeword_supports(c), c.n), c.n)
 
 
 def psi_stop(h: Matrix, w_max: Optional[int] = None,
@@ -308,10 +337,13 @@ def psi_stop(h: Matrix, w_max: Optional[int] = None,
     stopping-set lattice, counted by popcount, when that is the cheaper way.
     """
     n, m = h.n_cols, h.n_rows
-    # a lattice subset costs 10 ns plus 1 ns per row, a peeled pattern
-    # 25 ns per row
+    # a lattice subset costs 1 ns plus 0.02 ns per row (0.8-1.6 ns for 2 to
+    # 36 rows at n = 24), a peeled pattern 50 ns plus 2 ns per row (the
+    # per-weight path took 15-160 ns per pattern of weight <= rank for
+    # rank 4-9 and 4-36 rows at n = 24)
+    lattice_ns = (1 + m / 50) * 2 ** n
     if (_on_lattice(n, w_max)
-            and _lattice_cheaper(n, rank(h), (10 + m) << n, 25 * m)):
+            and _lattice_cheaper(n, rank(h), lattice_ns, 50 + 2 * m)):
         counts = _psi_stop_on_lattice(h)
     else:
         counts = _psi_stop_by_weight(h, w_max)
@@ -327,14 +359,15 @@ def psi_ml(c: LinearCode, w_max: Optional[int] = None) -> PsiProfile:
     that is the cheaper way.
     """
     n, k, q = c.n, c.k, c.field.q
-    # a lattice subset costs 10 ns and a codeword 15 ns per symbol (10-17
-    # ns for q = 2, 3, 5..13 and 4 ns for q = 4 at 729 to 4.8M codewords); a
-    # GF(2) pattern r^2 ns for r = n - k check rows (the per-weight path took
-    # 0.84-1.02 r^2 ns per pattern of weight <= r for r = 8..20 at n = 24,
-    # weight masks included), any other pattern 3.5 us per check row (the
+    # a lattice subset costs 1.5 ns (1.0-1.4 ns at n = 20 and 24 with up to
+    # 4096 codewords) and a codeword 6 ns per symbol (3-7.5 ns for q = 2, 3,
+    # 4, 5, 7, 11, 13 at 59K to 1.8M codewords); a GF(2) pattern r^2 ns
+    # for r = n - k check rows (the per-weight path took 0.84-1.02 r^2 ns
+    # per pattern of weight <= r for r = 8..20 at n = 24, weight masks
+    # included), any other pattern 3.5 us per check row (the
     # per-weight path took 1.5-4.0 us per row and pattern for r = 3..10 and
     # q = 3..13, 14-22 us per pattern on RS [11, 5] and 17-29 on RS [13, 5])
-    lattice_ns = (10 << n) + 15 * n * q ** k
+    lattice_ns = 1.5 * 2 ** n + 6 * n * q ** k
     pattern_ns = (n - k) ** 2 if q == 2 else 3_500 * (n - k)
     if (_on_lattice(n, w_max) and q ** k <= ENUM_GUARD
             and _lattice_cheaper(n, n - k, lattice_ns, pattern_ns)):

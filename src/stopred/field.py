@@ -98,9 +98,6 @@ class FieldSpec:
         np.minimum(s, s - self.q, out=s)
         return s.astype(np.uint8, copy=False)
 
-    def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.add_arr(a, self.neg_table[b])
-
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.q == 2:
             return np.bitwise_and(a, b, dtype=np.uint8, casting="unsafe")

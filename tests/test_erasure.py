@@ -426,6 +426,74 @@ def test_psi_ml_lattice_matches_oracle_and_per_weight(g, chunk):
     assert table == _psi_ml_by_weight(code, None)
 
 
+def _pack_lattice(marks, n):
+    """marks (one truth value per subset) as uint64 words, bit s of word i
+    for subset 64 i + s."""
+    words = [0] * _bits.lattice_words(n)
+    for subset, marked in enumerate(marks):
+        if marked:
+            words[subset >> 6] |= 1 << (subset & 63)
+    return np.array(words, dtype=np.uint64)
+
+
+def _submasks(s):
+    t = s
+    while True:
+        yield t
+        if not t:
+            return
+        t = (t - 1) & s
+
+
+@pytest.mark.parametrize("chunk", [1, 8, _bits.LATTICE_CHUNK])
+@pytest.mark.parametrize("n", range(11))
+def test_packed_closure_and_count_match_brute_force(n, chunk):
+    rng = np.random.default_rng(n)
+    for density in (3 / 2 ** n, 0.3):
+        marks = (rng.random(2 ** n) < density).tolist()
+        closed = [any(marks[t] for t in _submasks(s)) for s in range(2 ** n)]
+        words = _pack_lattice(marks, n)
+        with lattice_chunk(chunk):
+            assert _bits.count_by_popcount(words, n) == [
+                sum(m for s, m in enumerate(marks) if s.bit_count() == w)
+                for w in range(n + 1)]
+            _bits.up_close(words, n)
+            assert words.tolist() == _pack_lattice(closed, n).tolist()
+            assert _bits.count_by_popcount(words, n) == [
+                sum(m for s, m in enumerate(closed) if s.bit_count() == w)
+                for w in range(n + 1)]
+
+
+@pytest.mark.parametrize("shape, table", [((1, 0), [0]), ((0, 0), [0]),
+                                          ((0, 3), [0, 3, 3, 1])],
+                         ids=["n=0", "n=0-no-rows", "0x3"])
+def test_lattice_edge_shapes(shape, table):
+    # with no columns only the empty pattern exists, and it decodes; with
+    # no rows every nonempty pattern is a stopping set and dependent
+    h = Matrix(make_field(2), np.zeros(shape, dtype=np.uint8))
+    code = LinearCode.from_parity_check(h)
+    assert psi_stop(h).counts == _psi_stop_on_lattice(h) == table
+    assert psi_ml(code).counts == _psi_ml_on_lattice(code) == table
+    assert _psi_stop_by_weight(h, None) == _psi_ml_by_weight(code, None) \
+        == table
+
+
+@pytest.mark.parametrize("chunk", [1, _bits.LATTICE_CHUNK])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_lattice_at_the_word_boundary(n, chunk):
+    # n = 5 leaves the top half of the one word clear, n = 6 fills it, and
+    # n = 7 takes two words
+    rng = np.random.default_rng(n)
+    for q in (2, 3):
+        for m in (1, 2, n // 2, n):
+            h = random_parity_check(rng, q, n, m)
+            code = LinearCode.from_parity_check(h)
+            with lattice_chunk(chunk):
+                stop, ml = _psi_stop_on_lattice(h), _psi_ml_on_lattice(code)
+            assert stop == _psi_stop_by_weight(h, None)
+            assert ml == _psi_ml_by_weight(code, None)
+
+
 @pytest.mark.parametrize("name", ["h24", "hp24", "h12", "hp12", "hexacode"])
 def test_lowest_failing_weight_is_s_and_d(name):
     h = load_asset(name)
