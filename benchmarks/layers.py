@@ -5,11 +5,11 @@
 PATH is the `src` directory of the checkout to time; the same script times
 any commit, so two files from one machine compare two commits layer by
 layer.  Each layer runs on fixed, seeded inputs; its time is the best of
-REPEATS runs, and its answer is stored next to the time so that two files
-can be checked to have computed the same thing.  Only public calls (plus
-`Matrix.row_masks` of a new `Matrix`, which caches its masks) are timed,
-so the script runs on older commits too.  The JSON file goes next to this
-script.
+REPEATS runs (fewer for the layers in SLOW_REPEATS), and its answer is
+stored next to the time so that two files can be checked to have computed
+the same thing.  Only public calls (plus `Matrix.row_masks` of a new
+`Matrix`, which caches its masks, and `cli.main`) are timed, so the script
+runs on older commits too.  The JSON file goes next to this script.
 
 Raw seconds drift with the speed the machine gives the run, so the
 script also times perfbench's stopred-free reference kernel before each
@@ -20,7 +20,9 @@ layer's best time over it as `best_ref`; two files compare by that ratio.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -37,14 +39,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from run import reference_seconds  # noqa: E402  (perfbench's, read only)
 
 REPEATS = 5
+# layers too slow for REPEATS runs: name -> runs
+SLOW_REPEATS = {"greedy_construct rm25": 1}
+CLI_CALLS = 50
 DECODE_PATTERNS = 4000
 DECODE_ASSETS = ("h24", "hp24", "h12", "hp12")
 
 
-def best_of(fn):
-    """(best wall time in seconds over REPEATS runs, the last answer)."""
+def best_of(fn, repeats):
+    """(best wall time in seconds over `repeats` runs, the last answer)."""
     best, answer = float("inf"), None
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         answer = fn()
         best = min(best, time.perf_counter() - t0)
@@ -100,6 +105,15 @@ def layers() -> dict:
     # the 1716 x 13 GF(13) rows that perfbench's `verify mds.mat` ranks
     mds_rs13 = construct.mds_pcm(rs13_code)
     hstar_text = cli.render_matrix_text(hstar)
+    rm25_code = code_of(construct.rm_generator(2, 5))  # [32, 16, 8]
+    rm25_code.min_distance()
+
+    def cli_calls(argv):
+        """CLI_CALLS in-process `cli.main` calls, stdout captured."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [cli.main(list(argv)) for _ in range(CLI_CALLS)]
+        return codes, out.getvalue()
     out = {
         # a new Matrix each run, so that the masks are packed, not copied
         "row_masks hp24": (
@@ -165,6 +179,15 @@ def layers() -> dict:
         "greedy_construct h12": (
             lambda: stopred.greedy_construct(code_of(cli.load_asset("h12"))),
             1, digest),
+        # RM(2,5): 65 535 dual classes against 4.5 M i-sets, 26 rows
+        "greedy_construct rm25": (
+            lambda: stopred.greedy_construct(rm25_code), 1, digest),
+        # building the argument parser is most of this command
+        "cli.main bounds mds 6 3": (
+            lambda: cli_calls(["bounds", "--mds", "--n", "6", "--k", "3"]),
+            CLI_CALLS,
+            lambda r: [sorted(set(r[0])),
+                       hashlib.sha256(r[1].encode()).hexdigest()]),
         "exact_stopping_redundancy eh16": (
             lambda: stopred.exact_stopping_redundancy(
                 code_of(construct.rm_generator(1, 4))),
@@ -237,8 +260,9 @@ def main(argv=None) -> int:
     results, refs = {}, []
     for name, (fn, calls, answer_of) in layers().items():
         refs.append(reference_seconds())
-        best, answer = best_of(fn)
-        results[name] = {"best_s": best, "calls": calls,
+        repeats = SLOW_REPEATS.get(name, REPEATS)
+        best, answer = best_of(fn, repeats)
+        results[name] = {"best_s": best, "calls": calls, "repeats": repeats,
                          "per_call_us": best / calls * 1e6,
                          "answer": answer_of(answer)}
         print(f"{name:36s} {best:9.4f} s  {best / calls * 1e6:12.1f} us/call",

@@ -20,6 +20,7 @@ subset size; neither needs more than one chunk of scratch memory.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -145,6 +146,21 @@ def words_to_ints(lanes: np.ndarray) -> List[int]:
     return out
 
 
+def integer_positions(positions: Iterable, what: str) -> List[int]:
+    """Each entry as an int.  An entry that is not an integer (a float, a
+    string or a bool) is refused as "<what> <entry> is not an integer",
+    not read as a position; numpy integers are integers."""
+    out = []
+    for p in positions:
+        try:
+            if type(p) is bool:
+                raise TypeError
+            out.append(index(p))
+        except TypeError:
+            raise ValueError(f"{what} {p!r} is not an integer") from None
+    return out
+
+
 def positions_to_mask(positions: Iterable[int]) -> int:
     m = 0
     for p in positions:
@@ -236,7 +252,8 @@ def meet_once(planes: np.ndarray, positions: np.ndarray) -> np.ndarray:
     Two accumulators run over the planes of the support: `twice` marks
     the sets met at least twice, `once` those met an odd number of times.
     Each column of `positions` is one pass over the batch's words, so a
-    batch of one weight w needs only its first w columns.
+    batch whose heaviest support has weight w needs only its first w
+    columns; a lighter support in it reads the empty plane n in the rest.
     """
     once = planes[positions[:, 0]]
     twice = np.zeros_like(once)

@@ -33,13 +33,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb
-from operator import index
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import (LATTICE_CHUNK, count_by_popcount, lattice_words,
-                    mask_to_positions, pack_words, popcount,
+from ._bits import (LATTICE_CHUNK, count_by_popcount, integer_positions,
+                    lattice_words, mask_to_positions, pack_words, popcount,
                     positions_to_mask, up_close, weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
                      _enumerate_combinations, _rank_gf2, _rank_gfq, rank)
@@ -120,16 +119,7 @@ class PsiProfile:
 def _pattern_set(positions, n: int) -> frozenset:
     """The erased positions as a set.  Each entry must be an integer (a
     float, a string or a bool is refused, not read as a position)."""
-    pos = []
-    for p in positions:
-        try:
-            if type(p) is bool:
-                raise TypeError
-            pos.append(index(p))
-        except TypeError:
-            raise ValueError(f"erased position {p!r} is not an integer"
-                             ) from None
-    pos = frozenset(pos)
+    pos = frozenset(integer_positions(positions, "erased position"))
     if pos and (min(pos) < 0 or max(pos) >= n):
         raise ValueError(f"erased position out of range [0, {n})")
     return pos

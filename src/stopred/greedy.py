@@ -19,7 +19,8 @@ that contain j, each size starting on a word boundary.  For a support c,
 two accumulators run over the planes of c (`twice |= once & p;
 once ^= p`), and `once & ~twice` marks the sets c meets exactly once, 64
 sets per word operation.  Greedy rescores the stale top of its queue in
-batches of one weight (at most BATCH_WORDS words of bitsets), counts
+batches of any mix of weights (at most BATCH_WORDS words of bitsets; a
+shorter support reads the empty plane for its missing positions), counts
 each size with one `np.add.reduceat` over popcounts, and after each round
 rebuilds the planes over the sets still uncovered.  The exact search
 builds its cover table from the same kernel both ways round, since
@@ -74,7 +75,8 @@ def greedy_construct(c: LinearCode) -> Matrix:
     planes, starts = bit_planes(n, [level for _, level in uncovered])
 
     def scores(batch: List[int]) -> List[int]:
-        once = meet_once(planes, positions[batch, :weights[batch[0]]])
+        width = max(weights[i] for i in batch)
+        once = meet_once(planes, positions[batch, :width])
         met = np.add.reduceat(popcount(once), starts, axis=1, dtype=np.int64)
         return (met @ [i for i, _ in uncovered]).tolist()
 
@@ -87,7 +89,7 @@ def greedy_construct(c: LinearCode) -> Matrix:
     while uncovered:
         # (-score, idx, round scored): an entry scored this round tops
         # every upper bound left in the heap, so it is the first maximal.
-        # Stale entries are rescored in batches of one weight.
+        # Stale entries are rescored in batches, whatever their weights.
         cap = max(BATCH_WORDS // planes.shape[1], 1)
         while True:
             if not heap:
@@ -96,8 +98,7 @@ def greedy_construct(c: LinearCode) -> Matrix:
             if scored == len(chosen):
                 break
             batch = [idx]
-            while (len(batch) < cap and heap and heap[0][2] != len(chosen)
-                   and weights[heap[0][1]] == weights[idx]):
+            while len(batch) < cap and heap and heap[0][2] != len(chosen):
                 batch.append(heapq.heappop(heap)[1])
             for i, score in zip(batch, scores(batch)):
                 heapq.heappush(heap, (-score, i, len(chosen)))
@@ -135,6 +136,8 @@ def exact_stopping_redundancy(c: LinearCode,
     seeds the incumbent.  Exhausting the node budget returns the incumbent
     flagged as an upper bound only.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     d = c.min_distance()
     n, k = c.n, c.k
     classes = full_dual_pcm(c)
@@ -172,12 +175,17 @@ def exact_stopping_redundancy(c: LinearCode,
         allowance = best - 1 - count
         if allowance <= 0:
             return True
-        max_cover = max(((bits & uncovered).bit_count()
-                         for ci, bits in enumerate(cover)
-                         if not (banned >> ci) & 1), default=0)
-        if (max_cover == 0
-                or -(-uncovered.bit_count() // max_cover) > allowance
-                or deficit(chosen) > allowance):
+        # the cover bound: the allowance of rows covers every set only if
+        # some free class covers ceil(|uncovered| / allowance) of them, so
+        # the scan stops at the first class that does
+        need = -(-uncovered.bit_count() // allowance)
+        for ci, bits in enumerate(cover):
+            if ((bits & uncovered).bit_count() >= need
+                    and not (banned >> ci) & 1):
+                break
+        else:
+            return True
+        if deficit(chosen) > allowance:
             return True
         # branch on the first uncovered set with the fewest free coverers
         free = ~banned

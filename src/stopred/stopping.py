@@ -36,8 +36,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import (mask_to_positions, pack_words, popcount,
-                    positions_to_mask, unpack_words, weight_masks)
+from ._bits import (integer_positions, mask_to_positions, pack_words,
+                    popcount, positions_to_mask, unpack_words, weight_masks)
 from .linalg import LinearCode, Matrix, mat_mul, rank
 
 SCAN_BUDGET = 1 << 25
@@ -59,7 +59,7 @@ class StoppingReport:
 
 
 def _validate_positions(positions, n: int) -> Tuple[int, ...]:
-    raw = [int(p) for p in positions]
+    raw = integer_positions(positions, "position")
     pos = tuple(sorted(set(raw)))
     if len(pos) != len(raw):
         raise ValueError("positions must be distinct")

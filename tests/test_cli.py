@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stopred.cli import (ASSET_TEXT, load_asset, main, parse_matrix_text,
-                         render_matrix_text)
+from stopred import cli
+from stopred.cli import (ASSET_TEXT, build_parser, load_asset, main,
+                         parse_matrix_text, render_matrix_text)
 from stopred.field import MAX_ORDER, make_field
 from stopred.linalg import Matrix
 from stopred.stopping import stopping_distance
@@ -17,6 +18,25 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            code, out, _ = run_cli(capsys, "mindist", "--assets", "hexacode")
+            assert code == 0 and out == "4\n"
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_sd_asset(capsys):
@@ -175,6 +195,17 @@ def test_negative_wmax_is_refused(capsys, kind):
                              "--wmax", "-1", "--format", "csv")
     assert code == 1 and out == ""
     assert err == "error: w_max must be >= 0, got -1\n"
+
+
+def test_negative_budget_is_refused(capsys):
+    code, out, err = run_cli(capsys, "rho-exact", "--assets", "hexacode",
+                             "--budget", "-3")
+    assert code == 1 and out == ""
+    assert err == "error: budget must be >= 0, got -3\n"
+    # budget 0 stays valid: the greedy incumbent, flagged as a bound only
+    code, out, _ = run_cli(capsys, "rho-exact", "--assets", "hexacode",
+                           "--budget", "0")
+    assert code == 0 and out == "6 (upper bound only)\n"
 
 
 @pytest.mark.parametrize("text, message", [

@@ -27,3 +27,16 @@ def test_cli_output_unchanged(record, capsys):
     assert code == record["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == record["stdout_sha256"]
     assert err == record["stderr"]
+
+
+def test_usage_error_leaves_the_shared_parser_intact(capsys):
+    """`main` reuses one parser per process: after a usage error, records
+    run in another order than the file's still give their bytes."""
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    hexacode = [r for r in RECORDS if "hexacode" in r["argv"]]
+    assert len(hexacode) >= 9
+    for record in reversed(hexacode):
+        test_cli_output_unchanged(record, capsys)

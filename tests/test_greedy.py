@@ -11,6 +11,7 @@ from stopred._bits import bit_planes, mask_dtype, meet_once, support_positions
 from stopred.cli import load_asset
 from stopred.construct import rm_generator
 from stopred.field import make_field
+from stopred import greedy
 from stopred.greedy import (RedundancyResult, exact_stopping_redundancy,
                             greedy_construct)
 from stopred.linalg import LinearCode, Matrix, rank
@@ -71,6 +72,22 @@ def test_greedy_spc():
     h = greedy_construct(spc)
     assert h.n_rows == 1
     assert np.array_equal(h.data, np.ones((1, 7), np.uint8))
+
+
+@pytest.mark.parametrize("checks", [
+    lambda: load_asset("h24"),
+    lambda: load_asset("h12"),
+    lambda: load_asset("hexacode"),
+    lambda: rm_generator(1, 4),
+], ids=["golay24", "h12", "hexacode", "eh16"])
+def test_greedy_batches_do_not_change_the_rows(checks, monkeypatch):
+    # one candidate per batch against the default mixed-weight batches (the
+    # h24 dual mixes weights 8, 12 and 16 in its stale runs)
+    code = LinearCode.from_parity_check(checks())
+    batched = greedy_construct(code)
+    monkeypatch.setattr(greedy, "BATCH_WORDS", 1)
+    single = greedy_construct(code)
+    assert np.array_equal(single.data, batched.data)
 
 
 def test_greedy_deterministic(hexacode):

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,30 @@ def test_covers():
     assert covers((1, 0, 0), (0,))
     assert not covers((1, 1, 0), (0, 1))
     assert covers((1, 1, 0), (1, 2))
+
+
+@pytest.mark.parametrize("check", [
+    lambda pos: is_stopping_set(load_asset("h24"), pos),
+    lambda pos: covers(load_asset("h24").data[0], pos),
+], ids=["is_stopping_set", "covers"])
+@pytest.mark.parametrize("positions, entry", [
+    ([1.5, 3], "1.5"),
+    ([True, 3], "True"),
+    (["3", 4], "'3'"),
+    ([0.7], "0.7"),
+    (np.array([2.0, 5.0]), "np.float64(2.0)"),
+], ids=["float", "bool", "string", "float-alone", "float-array"])
+def test_non_integer_positions_are_refused(check, positions, entry):
+    message = re.escape(f"position {entry} is not an integer")
+    with pytest.raises(ValueError, match=message):
+        check(positions)
+
+
+def test_numpy_integer_positions_are_accepted():
+    h24 = load_asset("h24")
+    for positions in (np.array([0, 13]), [np.int8(0), np.uint64(13)]):
+        assert is_stopping_set(h24, positions) == is_stopping_set(h24, [0, 13])
+        assert covers(h24.data[0], positions) == covers(h24.data[0], [0, 13])
 
 
 def test_stopping_distance_golay_matrices():
