@@ -98,6 +98,7 @@ def layers() -> dict:
     # distances are cached on a code: find them before the timed builds
     rs13_code = code_of(rs13)
     h24_code = code_of(h24)
+    h12_code = code_of(h12)
     rep70 = LinearCode.from_generator(  # [70, 1, 70]: 2415 rows of weight 2
         Matrix(field.make_field(2), np.ones((1, 70), dtype=np.uint8)))
     for c in (rs13_code, rep70):
@@ -150,6 +151,10 @@ def layers() -> dict:
                        lambda p: p.counts),
         "psi_ml rs13": (lambda: stopred.psi_ml(rs13_code), 1,
                         lambda p: p.counts),
+        # a w_max cut keeps the ternary Golay table off the lattice: the
+        # q > 2 ML test one pattern at a time, 2510 patterns
+        "psi_ml h12 w_max=6": (lambda: stopred.psi_ml(h12_code, w_max=6), 1,
+                               lambda p: p.counts),
         "rank hstar-h24": (lambda: stopred.rank(hstar), 1, int),
         "rank mds-rs13": (lambda: stopred.rank(mds_rs13), 1, int),
         # a new code each run: the distance is cached on the code

@@ -149,9 +149,14 @@ def words_to_ints(lanes: np.ndarray) -> List[int]:
 def integer_positions(positions: Iterable, what: str) -> List[int]:
     """Each entry as an int.  An entry that is not an integer (a float, a
     string or a bool) is refused as "<what> <entry> is not an integer",
-    not read as a position; numpy integers are integers."""
+    not read as a position; numpy integers are integers.  Entries whose
+    type is exactly int are returned as they are, without the per-entry
+    check."""
+    given = list(positions)
+    if set(map(type, given)) <= {int}:
+        return given
     out = []
-    for p in positions:
+    for p in given:
         try:
             if type(p) is bool:
                 raise TypeError

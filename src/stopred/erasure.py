@@ -16,11 +16,18 @@ high-rate code or low-rank H, where few patterns need testing) is counted
 exhaustively per weight, LATTICE_CHUNK pattern masks at a time: peeling by
 `_peel_residues`, which carries into each pass only the patterns that the
 last one changed and left nonempty, binary ML by the batched GF(2) rank of
-the erased columns (`linalg._rank_gf2`), and ML over q > 2 by `ml_decode`
-one pattern at a time.  The single-pattern decoders do only the work that
-depends on the pattern: `iterative_decode` peels on the check matrix's
-cached row masks, and `ml_decode` ranks the erased columns of its cached
-row basis (`Matrix._ml_form`) with `linalg._rank_gf2` or the vector kernel
+the erased columns (`linalg._rank_gf2`), and ML over q > 2 by the test of
+`ml_decode` (`_independent`) one pattern at a time.
+
+The single-pattern decoders do only the work that depends on the
+pattern.  The erased positions become one checked mask: each is looked up
+in a table of the bits 1 << j for j < n, so a position out of range is
+refused before it is shifted, and a repeated one shows as a mask with
+fewer bits than positions.  `iterative_decode` peels that mask on the
+check matrix's cached row masks.  `ml_decode` reads the cached RREF row
+basis (`Matrix._ml_form`): its erased pivot columns are distinct unit
+vectors, so it ranks only the other erased columns, on the rows of the
+pivots not erased, with `linalg._rank_gf2` or the vector kernel
 `linalg._rank_gfq`.  Two analytic shortcuts are exact and used to avoid
 pointless enumeration there: once every pattern of some weight fails, every
 heavier weight fails too (failure is monotone under adding erasures); and
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -39,7 +47,7 @@ import numpy as np
 
 from ._bits import (LATTICE_CHUNK, count_by_popcount, integer_positions,
                     lattice_words, mask_to_positions, pack_words, popcount,
-                    positions_to_mask, up_close, weight_masks)
+                    up_close, weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
                      _enumerate_combinations, _rank_gf2, _rank_gfq, rank)
 
@@ -116,13 +124,31 @@ class PsiProfile:
         return cls(n, "csv", counts)
 
 
-def _pattern_set(positions, n: int) -> frozenset:
-    """The erased positions as a set.  Each entry must be an integer (a
-    float, a string or a bool is refused, not read as a position)."""
-    pos = frozenset(integer_positions(positions, "erased position"))
-    if pos and (min(pos) < 0 or max(pos) >= n):
-        raise ValueError(f"erased position out of range [0, {n})")
-    return pos
+@lru_cache(maxsize=16)
+def _position_bits(n: int) -> dict:
+    """{j: 1 << j} for the positions j of [0, n); read-only."""
+    return {j: 1 << j for j in range(n)}
+
+
+def _erased_mask(erased, n: int) -> Tuple[int, list]:
+    """(mask, distinct positions) of an erasure pattern.  Each entry must be
+    an integer (a float, a string or a bool is refused, not read as a
+    position) and be a key of the position table, so no position is
+    shifted before its range is checked.  Distinct bits sum to their OR;
+    a repeated position shows as fewer bits than entries."""
+    pos = integer_positions(erased, "erased position")
+    bits = _position_bits(n)
+    try:
+        mask = sum(map(bits.__getitem__, pos))
+    except KeyError:
+        raise ValueError(f"erased position out of range [0, {n})") from None
+    if mask.bit_count() != len(pos):
+        pos = list(set(pos))
+        mask = sum(map(bits.__getitem__, pos))
+    return mask, pos
+
+
+_NO_RESIDUE = frozenset()
 
 
 def iterative_decode(h: Matrix, erased) -> PeelOutcome:
@@ -131,37 +157,63 @@ def iterative_decode(h: Matrix, erased) -> PeelOutcome:
     The fixpoint is order-independent; the residue is the unique maximal
     stopping set inside the pattern (empty iff decoding succeeds).
     """
-    pattern = _pattern_set(erased, h.n_cols)
-    stuck = frozenset(mask_to_positions(
-        _peel_residues(h.row_masks(), positions_to_mask(pattern))))
-    return PeelOutcome(pattern - stuck, stuck)
+    mask, pos = _erased_mask(erased, h.n_cols)
+    stuck = _peel_residues(h._row_masks(), mask)
+    if not stuck:
+        return PeelOutcome(frozenset(pos), _NO_RESIDUE)
+    residue = frozenset(mask_to_positions(stuck))
+    return PeelOutcome(frozenset(pos) - residue, residue)
 
 
 def ml_decode(h: Matrix, erased) -> bool:
-    """True iff the erased columns of h are linearly independent.  They are
-    ranked as columns of h's cached row basis; a pattern heavier than the
-    rank has dependent columns at once."""
-    pattern = _pattern_set(erased, h.n_cols)
-    r, cols = h._ml_form()
-    if len(pattern) > r:
+    """True iff the erased columns of h are linearly independent."""
+    return _independent(h, _erased_mask(erased, h.n_cols)[1])
+
+
+def _independent(h: Matrix, pos) -> bool:
+    """True iff the columns of h at the distinct positions `pos` are
+    linearly independent, read on h's cached RREF row basis.  A pattern
+    heavier than the rank is dependent at once.  Erased pivot columns are
+    distinct unit vectors, so the pattern is independent iff its other
+    columns are once the rows of those pivots are dropped."""
+    r, cols, pivots = h._ml_form()
+    if len(pos) > r:
         return False
-    vectors = [cols[j] for j in pattern]
+    covered, rest = 0, []
+    for j in pos:
+        bit = pivots[j]
+        if bit:
+            covered |= bit
+        else:
+            rest.append(cols[j])
+    if not rest:
+        return True
     if h.field.q == 2:
-        return _rank_gf2(vectors) == len(pattern)
-    return _rank_gfq(h.field, vectors) == len(pattern)
+        return _rank_gf2(rest, ~covered) == len(rest)
+    keep = [i for i in range(r) if not covered >> i & 1]
+    return _rank_gfq(h.field, [[v[i] for i in keep] for v in rest]) \
+        == len(rest)
 
 
 def _peel_residues(row_masks: Sequence[int], erased):
     """Peeling fixpoint of one pattern mask (an int) or of an array of them:
     a check that meets the erased positions exactly once resolves that one.
-    The operators below act alike on both, so one pass rule serves both;
-    x = 0 passes the single-bit test but then clears nothing.  A pattern
-    that a pass leaves unchanged or empty is settled.  An array carries
-    only its live patterns into the next pass and writes each pass's
-    residues into a copy, so the input array is never written."""
-    batch = isinstance(erased, np.ndarray)
-    if batch:
-        out, idx = erased.copy(), np.arange(len(erased))
+    Both forms run the same pass rule, an int by branching on each check,
+    an array by multiplying by the single-bit test (x = 0 passes it but
+    then clears nothing).  A pattern that a pass leaves unchanged or empty
+    is settled.  An array carries only its live patterns into the next
+    pass and writes each pass's residues into a copy, so the input array
+    is never written."""
+    if not isinstance(erased, np.ndarray):
+        while True:
+            before = erased
+            for r in row_masks:
+                x = erased & r
+                if x and not x & (x - 1):
+                    erased ^= x
+            if erased == before or not erased:
+                return erased
+    out, idx = erased.copy(), np.arange(len(erased))
     cur = erased
     while True:
         before = cur
@@ -169,10 +221,6 @@ def _peel_residues(row_masks: Sequence[int], erased):
             x = cur & r
             cur = cur ^ x * (x & (x - 1) == 0)
         live = (cur != before) & (cur != 0)
-        if not batch:
-            if not live:
-                return cur
-            continue
         out[idx] = cur
         idx, cur = idx[live], cur[live]
         if not len(idx):
@@ -305,7 +353,8 @@ def _psi_ml_by_weight(c: LinearCode,
             return _rank_gf2(rows, block) < popcount(block)
     else:
         def fails(block: np.ndarray) -> List[bool]:
-            return [not ml_decode(h, mask_to_positions(int(m))) for m in block]
+            return [not _independent(h, mask_to_positions(int(m)))
+                    for m in block]
     return _count_by_weight(c.n, h.n_rows, w_max, fails)
 
 

@@ -2,13 +2,14 @@
 
 Matrices are dense numpy uint8 grids of element indices, over any field.
 A `Matrix` is immutable, so it caches the two forms that the decoders read
-on every call: its rows packed into ints, and the rank and columns of its
-row basis.  Reduced forms come from one elimination engine, `_rref_stack`,
-which reduces a (B, m, n) stack of matrices with one column step for the
-whole stack; `_rref` reduces one matrix as the stack of one.  One reduced
-form gives a matrix's row basis and, by `_kernel`, its nullspace.  Every
-codeword set comes from one span engine, `_enumerate_combinations`, which
-extends the span of a basis row by row with field adds.
+on every call: its rows packed into ints, and the rank, columns and pivot
+bits of its reduced row basis.  Reduced forms come from one elimination
+engine, `_rref_stack`, which reduces a (B, m, n) stack of matrices with one
+column step for the whole stack; `_rref` reduces one matrix as the stack of
+one.  One reduced form gives a matrix's row basis and, by `_kernel`, its
+nullspace.  Every codeword set comes from one span engine,
+`_enumerate_combinations`, which extends the span of a basis row by row
+with field adds.
 Ranks come from two elimination kernels that share one rule: a vector is
 reduced by the earlier basis vectors at their pivots.  `_rank_gf2` works on
 vectors packed into ints; it takes one mask or an array of masks, so the
@@ -42,7 +43,9 @@ class Matrix:
 
     `data` is a read-only copy of the rows given, so the two forms derived
     from it are built on first use and kept: the packed row supports
-    (`row_masks`) and the ML form (`_ml_form`).
+    (`row_masks`, read uncopied by the decoders as `_row_masks`) and the
+    ML form (`_ml_form`): the rank, the columns of the RREF row basis, and
+    for each column the bit of its pivot row, 0 for a non-pivot column.
     """
 
     __slots__ = ("field", "data", "_masks", "_ml")
@@ -64,7 +67,7 @@ class Matrix:
         self.data = raw.astype(np.uint8)  # a copy: the caller's stays writable
         self.data.flags.writeable = False
         self._masks: Optional[List[int]] = None
-        self._ml: Optional[Tuple[int, tuple]] = None
+        self._ml: Optional[Tuple[int, tuple, Tuple[int, ...]]] = None
 
     @property
     def n_rows(self) -> int:
@@ -77,22 +80,31 @@ class Matrix:
     def row_masks(self) -> List[int]:
         """Support of each row packed into an int (bit j = column j nonzero);
         a new list each call, so the cached one cannot be changed."""
+        return list(self._row_masks())
+
+    def _row_masks(self) -> List[int]:
+        """The cached `row_masks`, not copied: callers must not change it."""
         if self._masks is None:
             self._masks = pack_rows(self.data != 0)
-        return list(self._masks)
+        return self._masks
 
-    def _ml_form(self) -> Tuple[int, tuple]:
-        """(rank, column j of a row basis for each j): packed ints over the
-        basis rows for q = 2, lists of element indices otherwise.  Row
-        operations keep every dependency among the columns, so a column
-        subset of the basis is independent exactly when that of the matrix
-        is."""
+    def _ml_form(self) -> Tuple[int, tuple, Tuple[int, ...]]:
+        """(rank, column j of the RREF row basis for each j, pivot bit of
+        each j).  Columns are packed ints over the basis rows for q = 2,
+        lists of element indices otherwise.  A pivot column is the unit
+        vector of its row i, and its pivot bit is 1 << i; every other
+        column has pivot bit 0.  Row operations keep every dependency among
+        the columns, so a column subset of the basis is independent exactly
+        when that of the matrix is."""
         if self._ml is None:
             a, pivots = _rref(self.field, self.data)
             cols = a[:len(pivots)].T
+            bits = [0] * self.n_cols
+            for i, c in enumerate(pivots):
+                bits[c] = 1 << i
             self._ml = (len(pivots), tuple(pack_rows(cols != 0)
                                            if self.field.q == 2
-                                           else cols.tolist()))
+                                           else cols.tolist()), tuple(bits))
         return self._ml
 
     def __eq__(self, other) -> bool:

@@ -13,8 +13,8 @@ from conftest import random_parity_check
 from reference import (f_add, f_mul, f_neg, ref_codewords, ref_ml_fails,
                        ref_peel, ref_rank)
 from stopred import _bits, erasure
-from stopred._bits import (mask_to_positions, popcount, positions_to_mask,
-                           weight_masks)
+from stopred._bits import (mask_dtype, mask_to_positions, popcount,
+                           positions_to_mask, weight_masks)
 from stopred.cli import load_asset
 from stopred.erasure import (PsiProfile, _peel_residues, _psi_ml_by_weight,
                              _psi_ml_on_lattice, _psi_stop_by_weight,
@@ -123,6 +123,39 @@ def test_non_integer_positions_are_refused(decode, pattern, entry):
         decode(load_asset("h12"), pattern)
 
 
+@pytest.mark.parametrize("decode", [iterative_decode, ml_decode])
+@pytest.mark.parametrize("name", ["h24", "h12"])
+def test_out_of_range_positions_are_refused(decode, name):
+    # each position is looked up before it is shifted, so 2**40 is refused
+    # by name instead of being turned into a 2**40-bit mask
+    h = load_asset(name)
+    n = h.n_cols
+    message = re.escape(f"erased position out of range [0, {n})")
+    for bad in (-1, -n, n, 2 ** 40, np.int64(2 ** 40), -(2 ** 40)):
+        with pytest.raises(ValueError, match=message):
+            decode(h, [0, bad, 5])
+
+
+@pytest.mark.parametrize("name", ["h24", "h12"])
+def test_pattern_forms_and_repeats_agree(name):
+    h = load_asset(name)
+    n = h.n_cols
+    assert iterative_decode(h, []) == erasure.PeelOutcome(frozenset(),
+                                                          frozenset())
+    assert ml_decode(h, [])
+    rng = np.random.default_rng(18)
+    patterns = [[], [3]] + [rng.choice(n, size=w, replace=False).tolist()
+                            for w in range(1, n + 1)]
+    for decode in (iterative_decode, ml_decode):
+        assert decode(h, [3, 3]) == decode(h, [3])
+        for pattern in patterns:
+            want = decode(h, pattern)
+            assert decode(h, tuple(pattern)) == want
+            assert decode(h, (p for p in pattern)) == want
+            assert decode(h, np.array(pattern, dtype=np.int64)) == want
+            assert decode(h, pattern + pattern[::-1]) == want
+
+
 def test_ml_decode_basics(golay24):
     h24 = load_asset("h24")
     rng = np.random.default_rng(6)
@@ -203,6 +236,60 @@ def test_ml_decode_on_redundant_and_rank_deficient_checks():
             h = Matrix(make_field(q), np.zeros((m, 5), dtype=np.uint8))
             assert [ml_decode(h, mask_to_positions(mask))
                     for mask in range(1 << 5)] == [True] + [False] * 31
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 6), (3, 3), (4, 3)]), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_ml_decode_splits_pivot_columns(q_and_k, n, seed, data):
+    q, k_max = q_and_k
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, min(k_max, n) + 1))
+    rows, gen = _redundant_checks(rng, q, n, k)
+    h = Matrix(make_field(q), rows)
+    # column j of H is a non-pivot column of its reduced form iff it depends
+    # on the columns before it: iff it is the last position of the support
+    # of some nonzero codeword
+    supports = [{j for j, x in enumerate(w) if x}
+                for w in ref_codewords(gen, q) if any(w)]
+    non_pivot = sorted({max(s) for s in supports})
+    pivot = sorted(set(range(n)) - set(non_pivot))
+    bits = h._ml_form()[2]
+    assert [j for j in range(n) if bits[j]] == pivot
+    assert [b for b in bits if b] == [1 << i for i in range(len(pivot))]
+    patterns = [data.draw(st.lists(st.sampled_from(columns), unique=True)
+                          if columns else st.just([]))
+                for columns in (pivot, non_pivot, list(range(n)))]
+    if supports:
+        # a codeword support mixes pivot and non-pivot columns: dependent,
+        # and often independent again without one of its positions
+        support = data.draw(st.sampled_from(supports))
+        patterns += [sorted(support | set(data.draw(st.lists(
+                         st.integers(0, n - 1))))),
+                     sorted(support - {data.draw(st.sampled_from(
+                         sorted(support)))})]
+    for pattern in patterns:
+        assert ml_decode(h, pattern) == (not ref_ml_fails(gen, q, pattern))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 80),
+       st.integers(0, 2 ** 32 - 1))
+@example(2, 70, 1)
+def test_int_and_array_peel_agree(q, n, seed):
+    # past 64 columns the array holds Python ints (object dtype)
+    rng = np.random.default_rng(seed)
+    rows, _ = _redundant_checks(rng, q, n, int(rng.integers(0, n + 1)))
+    masks = Matrix(make_field(q), rows).row_masks()
+    erased = rng.random((40, n)) < rng.random((40, 1))
+    ints = [positions_to_mask(np.flatnonzero(e).tolist()) for e in erased]
+    batch = _peel_residues(masks, np.array(
+        ints, dtype=object if n > 64 else mask_dtype(n)))
+    got = [_peel_residues(masks, m) for m in ints]
+    assert [int(x) for x in batch] == got
+    for mask, residue in zip(ints, got):
+        assert residue == positions_to_mask(
+            ref_peel(rows, mask_to_positions(mask)))
 
 
 def test_psi_ml_golay24(golay24):
