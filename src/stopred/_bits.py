@@ -1,9 +1,16 @@
-"""Bitmask utilities shared by the subset-search and erasure engines.
+"""The one bit layout of stopred and every conversion into and out of it.
 
-Column subsets of a matrix with up to 64 columns are packed into unsigned
-integers (bit i = column i).  Numeric order of the masks equals
+A set of columns is a mask, bit j = column j: an int of any width, or for
+n <= 64 an element of a `mask_dtype(n)` array.  Numeric order of masks is
 colexicographic order of the subsets, which the generators below rely on.
-Subsets of any width are rows of little-endian uint64 words (`pack_words`).
+Sets of any width are also rows of little-endian uint64 words, column j
+being bit j % 64 of word j // 64.  No other module knows this layout; they
+cross it only here: positions to a mask by `positions_mask`, the one
+checked boundary for positions given by a caller, and back by
+`mask_to_positions`; truth rows to words by `pack_words`, back by
+`unpack_words`; words to ints by `words_to_ints`; truth rows to ints and
+back by `pack_rows` and `unpack_rows`; and the masks of a weight from
+`weight_masks` and `weight_masks_upto`.
 
 A family of sets can also be stored bit-sliced (`bit_planes`): plane j is a
 packed bitset over the sets, marking those that contain j.  `meet_once`
@@ -20,8 +27,10 @@ subset size; neither needs more than one chunk of scratch memory.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
 from operator import index
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -36,11 +45,6 @@ _LOW_BITS = [np.uint64(m) for m in
               0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)]
 _WEIGHT_BITS = [np.uint64(sum(1 << s for s in range(64) if s.bit_count() == j))
                 for j in range(7)]
-
-
-def popcount(a: np.ndarray) -> np.ndarray:
-    """Per-element population count for an unsigned integer array."""
-    return np.bitwise_count(a)
 
 
 def lattice_words(n: int) -> int:
@@ -83,7 +87,7 @@ def count_by_popcount(words: np.ndarray, n: int) -> List[int]:
     """
     _check_lattice(words, n)
     chunk = min(len(words), LATTICE_CHUNK)
-    low = popcount(np.arange(chunk, dtype=np.uint32)).astype(np.intp)
+    low = np.bitwise_count(np.arange(chunk, dtype=np.uint32)).astype(np.intp)
     width = chunk.bit_length()  # index weights 0..log2(chunk) in a chunk
     counts = np.zeros(n + 1, dtype=np.int64)
     for start in range(0, len(words), chunk):
@@ -91,8 +95,8 @@ def count_by_popcount(words: np.ndarray, n: int) -> List[int]:
         high = start.bit_count()
         for j in range(min(n, 6) + 1):
             # the float sums are exact: a chunk holds at most 2^22 subsets
-            sums = np.bincount(low, weights=popcount(block & _WEIGHT_BITS[j]),
-                               minlength=width)
+            sums = np.bincount(low, minlength=width, weights=np.bitwise_count(
+                block & _WEIGHT_BITS[j]))
             counts[high + j:high + j + width] += sums.astype(np.int64)
     return [int(c) for c in counts]
 
@@ -107,12 +111,17 @@ def mask_dtype(n: int) -> np.dtype:
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
     """Each row of a 2-D truth array packed into W = max(ceil(cols/64), 1)
-    little-endian uint64 words: column j is bit j % 64 of word j // 64."""
+    little-endian uint64 words: column j is bit j % 64 of word j // 64.
+    Rows of a nonzero multiple of 64 columns are packed as they are, other
+    rows from a copy padded to whole words."""
     rows, cols = bits.shape
-    words = max(-(-cols // 64), 1)
-    padded = np.zeros((rows, 64 * words), dtype=bool)
-    padded[:, :cols] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    if not cols or cols % 64:
+        padded = np.zeros((rows, 64 * max(-(-cols // 64), 1)), dtype=bool)
+        padded[:, :cols] = bits
+        bits = padded
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    # packbits keeps the layout of an F-order input; the view needs C order
+    return np.ascontiguousarray(packed).view("<u8")
 
 
 def unpack_words(words: np.ndarray) -> np.ndarray:
@@ -146,31 +155,46 @@ def words_to_ints(lanes: np.ndarray) -> List[int]:
     return out
 
 
-def integer_positions(positions: Iterable, what: str) -> List[int]:
-    """Each entry as an int.  An entry that is not an integer (a float, a
-    string or a bool) is refused as "<what> <entry> is not an integer",
-    not read as a position; numpy integers are integers.  Entries whose
-    type is exactly int are returned as they are, without the per-entry
-    check."""
-    given = list(positions)
-    if set(map(type, given)) <= {int}:
-        return given
-    out = []
-    for p in given:
-        try:
-            if type(p) is bool:
-                raise TypeError
-            out.append(index(p))
-        except TypeError:
-            raise ValueError(f"{what} {p!r} is not an integer") from None
-    return out
+@lru_cache(maxsize=16)
+def _position_bits(n: int) -> dict:
+    """{j: 1 << j} for the positions j of [0, n); read-only."""
+    return {j: 1 << j for j in range(n)}
 
 
-def positions_to_mask(positions: Iterable[int]) -> int:
-    m = 0
-    for p in positions:
-        m |= 1 << p
-    return m
+def positions_mask(positions: Iterable, n: int,
+                   what: str) -> Tuple[int, List[int]]:
+    """(mask, entries) of positions given by a caller, checked.
+
+    An entry that is not an integer (a float, a string or a bool; numpy
+    integers are integers) is refused as "<what> <entry> is not an
+    integer".  A 1-D integer array is read by one `tolist()`, and entries
+    whose type is exactly int skip the per-entry check.  Each entry is
+    looked up in a table of the bits 1 << j, so one outside [0, n) is
+    refused as "<what> out of range [0, n)" before anything is shifted.
+    `entries` are the integers as given; distinct bits sum to their OR, so
+    a repeated entry shows as mask.bit_count() < len(entries)."""
+    if (isinstance(positions, np.ndarray) and positions.ndim == 1
+            and positions.dtype.kind in "iu"):
+        entries = positions.tolist()
+    else:
+        entries = list(positions)
+        if not set(map(type, entries)) <= {int}:
+            for i, p in enumerate(entries):
+                try:
+                    if type(p) is bool:
+                        raise TypeError
+                    entries[i] = index(p)
+                except TypeError:
+                    raise ValueError(f"{what} {p!r} is not an integer") \
+                        from None
+    bits = _position_bits(n)
+    try:
+        mask = sum(map(bits.__getitem__, entries))
+    except KeyError:
+        raise ValueError(f"{what} out of range [0, {n})") from None
+    if mask.bit_count() != len(entries):
+        mask = sum(map(bits.__getitem__, set(entries)))
+    return mask, entries
 
 
 def mask_to_positions(mask: int) -> tuple:
@@ -182,33 +206,41 @@ def mask_to_positions(mask: int) -> tuple:
     return tuple(out)
 
 
-def weight_masks_upto(n: int, w_max: int, dtype=None) -> List[np.ndarray]:
-    """All bitmasks over n bits of each weight 0..w_max, one array per weight.
+def _levels(n: int, w_max: int, dt: np.dtype) -> Iterator[np.ndarray]:
+    """The masks over n bits of each weight 0..min(w_max, n) in turn, each
+    ascending.  A weight-(w+1) mask with top bit t is one of the first
+    C(t, w) weight-w masks, those below bit t, with bit t set; joined for
+    t = w..n-1 they stay ascending.  Only the last level is kept."""
+    level = np.zeros(1, dtype=dt)
+    yield level
+    for w in range(min(w_max, n)):
+        heavier, at = np.empty(comb(n, w + 1), dtype=dt), 0
+        for t in range(w, n):
+            size = comb(t, w)
+            np.bitwise_or(level[:size], dt.type(1 << t),
+                          out=heavier[at:at + size])
+            at += size
+        level = heavier
+        yield level
 
-    Each array is sorted ascending (= colex order on subsets).  Memory is the
+
+def weight_masks_upto(n: int, w_max: int, dtype=None) -> List[np.ndarray]:
+    """All bitmasks over n bits of each weight 0..w_max, one array per
+    weight, each ascending (= colex order on subsets).  Memory is the
     caller's concern: the total length is sum(C(n, w) for w <= w_max).
     dtype defaults to mask_dtype(n); `object` gives Python ints of any width.
     """
-    dt = mask_dtype(n) if dtype is None else np.dtype(dtype)
-    levels: List[np.ndarray] = [np.zeros(1, dtype=dt)]
-    for pos in range(n):
-        bit = dt.type(1 << pos)
-        if len(levels) <= w_max:
-            # a new top weight becomes reachable with this bit
-            levels.append(levels[-1] | bit)
-            start = len(levels) - 2
-        else:
-            start = len(levels) - 1
-        for w in range(start, 0, -1):
-            levels[w] = np.concatenate([levels[w], levels[w - 1] | bit])
-    return levels
+    return list(_levels(n, w_max,
+                        mask_dtype(n) if dtype is None else np.dtype(dtype)))
 
 
 def weight_masks(n: int, w: int) -> np.ndarray:
     """All bitmasks over n bits of weight exactly w, ascending."""
     if w < 0 or w > n:
         return np.zeros(0, dtype=mask_dtype(n))
-    return weight_masks_upto(n, w)[w]
+    for level in _levels(n, w, mask_dtype(n)):
+        pass
+    return level
 
 
 def bit_planes(n: int, family: Sequence[np.ndarray]

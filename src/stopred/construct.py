@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import (mask_to_positions, positions_to_mask, unpack_rows,
+from ._bits import (mask_to_positions, positions_mask, unpack_rows,
                     weight_masks_upto)
 from .bounds import rm_row_count
 from .field import make_field
@@ -261,7 +261,7 @@ def pruned_mds_pcm(c: LinearCode) -> Matrix:
         raise ValueError("pruned construction needs d >= 3")
     d_perp = n - d + 2
     m = min(k, n - k - 1)
-    removed = {positions_to_mask(s)
+    removed = {positions_mask(s, n, "position")[0]
                for cls in graham_sloane_partition(n, d_perp)[:m] for s in cls}
     return _support_rows(c, [s for s in _weight_supports(n, d_perp)
                              if s not in removed])

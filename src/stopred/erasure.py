@@ -20,11 +20,10 @@ the erased columns (`linalg._rank_gf2`), and ML over q > 2 by the test of
 `ml_decode` (`_independent`) one pattern at a time.
 
 The single-pattern decoders do only the work that depends on the
-pattern.  The erased positions become one checked mask: each is looked up
-in a table of the bits 1 << j for j < n, so a position out of range is
-refused before it is shifted, and a repeated one shows as a mask with
-fewer bits than positions.  `iterative_decode` peels that mask on the
-check matrix's cached row masks.  `ml_decode` reads the cached RREF row
+pattern.  The erased positions become one checked mask through the one
+position boundary, `_bits.positions_mask`; a repeated position counts
+once.  `iterative_decode` peels that mask on the check matrix's cached
+row masks (`Matrix.row_masks`).  `ml_decode` reads the cached RREF row
 basis (`Matrix._ml_form`): its erased pivot columns are distinct unit
 vectors, so it ranks only the other erased columns, on the rows of the
 pivots not erased, with `linalg._rank_gf2` or the vector kernel
@@ -39,15 +38,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import (LATTICE_CHUNK, count_by_popcount, integer_positions,
-                    lattice_words, mask_to_positions, pack_words, popcount,
-                    up_close, weight_masks)
+from ._bits import (LATTICE_CHUNK, count_by_popcount, lattice_words,
+                    mask_to_positions, pack_words, positions_mask, up_close,
+                    weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
                      _enumerate_combinations, _rank_gf2, _rank_gfq, rank)
 
@@ -124,30 +122,6 @@ class PsiProfile:
         return cls(n, "csv", counts)
 
 
-@lru_cache(maxsize=16)
-def _position_bits(n: int) -> dict:
-    """{j: 1 << j} for the positions j of [0, n); read-only."""
-    return {j: 1 << j for j in range(n)}
-
-
-def _erased_mask(erased, n: int) -> Tuple[int, list]:
-    """(mask, distinct positions) of an erasure pattern.  Each entry must be
-    an integer (a float, a string or a bool is refused, not read as a
-    position) and be a key of the position table, so no position is
-    shifted before its range is checked.  Distinct bits sum to their OR;
-    a repeated position shows as fewer bits than entries."""
-    pos = integer_positions(erased, "erased position")
-    bits = _position_bits(n)
-    try:
-        mask = sum(map(bits.__getitem__, pos))
-    except KeyError:
-        raise ValueError(f"erased position out of range [0, {n})") from None
-    if mask.bit_count() != len(pos):
-        pos = list(set(pos))
-        mask = sum(map(bits.__getitem__, pos))
-    return mask, pos
-
-
 _NO_RESIDUE = frozenset()
 
 
@@ -157,8 +131,8 @@ def iterative_decode(h: Matrix, erased) -> PeelOutcome:
     The fixpoint is order-independent; the residue is the unique maximal
     stopping set inside the pattern (empty iff decoding succeeds).
     """
-    mask, pos = _erased_mask(erased, h.n_cols)
-    stuck = _peel_residues(h._row_masks(), mask)
+    mask, pos = positions_mask(erased, h.n_cols, "erased position")
+    stuck = _peel_residues(h.row_masks(), mask)
     if not stuck:
         return PeelOutcome(frozenset(pos), _NO_RESIDUE)
     residue = frozenset(mask_to_positions(stuck))
@@ -167,7 +141,8 @@ def iterative_decode(h: Matrix, erased) -> PeelOutcome:
 
 def ml_decode(h: Matrix, erased) -> bool:
     """True iff the erased columns of h are linearly independent."""
-    return _independent(h, _erased_mask(erased, h.n_cols)[1])
+    mask, pos = positions_mask(erased, h.n_cols, "erased position")
+    return _independent(h, pos if mask.bit_count() == len(pos) else set(pos))
 
 
 def _independent(h: Matrix, pos) -> bool:
@@ -227,12 +202,6 @@ def _peel_residues(row_masks: Sequence[int], erased):
             return out
 
 
-def _check_weight_guard(n: int, w: int) -> None:
-    if comb(n, w) > WEIGHT_GUARD:
-        raise EnumerationTooLargeError(
-            f"C({n},{w}) patterns exceed the per-weight 2^25 guard")
-
-
 def _on_lattice(n: int, w_max: Optional[int]) -> bool:
     """The complete table is wanted and 2^n lattice bytes fit the guard."""
     return n <= LATTICE_MAX_N and (w_max is None or w_max >= n)
@@ -266,11 +235,11 @@ def _stopping_sets(row_masks: Sequence[int], n: int) -> np.ndarray:
     rows = [r for r in row_masks if r]
     # meets[k, s] = |row k & s| over the low parts s = 0..63, and
     # masks[k, c] the low parts kept when the high part meets row k c times
-    meets = popcount(np.arange(64, dtype=np.uint64)
-                     & np.array([r & 63 for r in rows], dtype=np.uint64
-                                ).reshape(-1, 1))
-    masks = np.packbits(np.stack([meets != 1, meets != 0], axis=1), axis=2,
-                        bitorder="little").view("<u8")[..., 0]
+    meets = np.bitwise_count(np.arange(64, dtype=np.uint64)
+                             & np.array([r & 63 for r in rows],
+                                        dtype=np.uint64).reshape(-1, 1))
+    masks = pack_words(np.stack([meets != 1, meets != 0], axis=1)
+                       .reshape(-1, 64)).reshape(-1, 2)
     out = np.empty(size, dtype=np.uint64)
     for start in range(0, size, chunk):
         ok = out[start:start + chunk]
@@ -305,7 +274,7 @@ def _codeword_supports(c: LinearCode) -> np.ndarray:
     for block in _enumerate_combinations(c.field, c.generator.data):
         marks[pack_words(block != 0)[:, 0]] = True
     marks[0] = False  # the zero codeword
-    return np.packbits(marks, bitorder="little").view("<u8")
+    return pack_words(marks[None])[0]
 
 
 def _count_by_weight(n: int, r: int, w_max: Optional[int],
@@ -328,7 +297,9 @@ def _count_by_weight(n: int, r: int, w_max: Optional[int],
             continue
         if w > limit:
             continue
-        _check_weight_guard(n, w)
+        if comb(n, w) > WEIGHT_GUARD:
+            raise EnumerationTooLargeError(
+                f"C({n},{w}) patterns exceed the per-weight 2^25 guard")
         level = weight_masks(n, w)
         counts[w] = sum(
             int(np.count_nonzero(fails(level[i:i + LATTICE_CHUNK])))
@@ -350,7 +321,7 @@ def _psi_ml_by_weight(c: LinearCode,
         rows = h.row_masks()
 
         def fails(block: np.ndarray) -> np.ndarray:
-            return _rank_gf2(rows, block) < popcount(block)
+            return _rank_gf2(rows, block) < np.bitwise_count(block)
     else:
         def fails(block: np.ndarray) -> List[bool]:
             return [not _independent(h, mask_to_positions(int(m)))

@@ -37,7 +37,7 @@ from typing import List
 import numpy as np
 
 from ._bits import (bit_planes, mask_dtype, mask_to_positions, meet_once,
-                    popcount, support_positions, weight_masks_upto,
+                    support_positions, unpack_words, weight_masks_upto,
                     words_to_ints)
 from .construct import full_dual_pcm
 from .linalg import LinearCode, Matrix, rank
@@ -77,7 +77,8 @@ def greedy_construct(c: LinearCode) -> Matrix:
     def scores(batch: List[int]) -> List[int]:
         width = max(weights[i] for i in batch)
         once = meet_once(planes, positions[batch, :width])
-        met = np.add.reduceat(popcount(once), starts, axis=1, dtype=np.int64)
+        met = np.add.reduceat(np.bitwise_count(once), starts, axis=1,
+                              dtype=np.int64)
         return (met @ [i for i, _ in uncovered]).tolist()
 
     # Round 0 has a closed form: every i-set is still uncovered, so a
@@ -106,7 +107,7 @@ def greedy_construct(c: LinearCode) -> Matrix:
             raise ValueError("coverage unreachable with the available dual words")
         chosen.append(idx)
         once = meet_once(planes, positions[[idx]])
-        covered = np.unpackbits(once.view(np.uint8), bitorder="little")
+        covered = unpack_words(once)[0]
         kept = [(i, level[covered[64 * start:][:len(level)] == 0])
                 for (i, level), start in zip(uncovered, starts)]
         uncovered = [(i, rest) for i, rest in kept if rest.size]

@@ -43,8 +43,8 @@ class Matrix:
 
     `data` is a read-only copy of the rows given, so the two forms derived
     from it are built on first use and kept: the packed row supports
-    (`row_masks`, read uncopied by the decoders as `_row_masks`) and the
-    ML form (`_ml_form`): the rank, the columns of the RREF row basis, and
+    (`row_masks`, an immutable tuple that every caller shares) and the ML
+    form (`_ml_form`): the rank, the columns of the RREF row basis, and
     for each column the bit of its pivot row, 0 for a non-pivot column.
     """
 
@@ -66,7 +66,7 @@ class Matrix:
         self.field = field
         self.data = raw.astype(np.uint8)  # a copy: the caller's stays writable
         self.data.flags.writeable = False
-        self._masks: Optional[List[int]] = None
+        self._masks: Optional[Tuple[int, ...]] = None
         self._ml: Optional[Tuple[int, tuple, Tuple[int, ...]]] = None
 
     @property
@@ -77,15 +77,11 @@ class Matrix:
     def n_cols(self) -> int:
         return self.data.shape[1]
 
-    def row_masks(self) -> List[int]:
-        """Support of each row packed into an int (bit j = column j nonzero);
-        a new list each call, so the cached one cannot be changed."""
-        return list(self._row_masks())
-
-    def _row_masks(self) -> List[int]:
-        """The cached `row_masks`, not copied: callers must not change it."""
+    def row_masks(self) -> Tuple[int, ...]:
+        """Support of each row packed into an int (bit j = column j
+        nonzero), built once; a tuple, so the cached masks cannot change."""
         if self._masks is None:
-            self._masks = pack_rows(self.data != 0)
+            self._masks = tuple(pack_rows(self.data != 0))
         return self._masks
 
     def _ml_form(self) -> Tuple[int, tuple, Tuple[int, ...]]:

@@ -1,8 +1,10 @@
 """Stopping sets, stopping distance, and i-set coverage.
 
 A stopping set of a parity-check matrix H is a nonempty set of columns such
-that no row of H restricted to those columns has exactly one nonzero entry.
-Only row supports matter, so both search engines below work on bitmasks.
+that no row of H restricted to those columns has exactly one nonzero entry,
+so that a peeling pass (`erasure._peel_residues`) leaves it unchanged.
+Only row supports matter, so both search engines below work on bitmasks,
+packed once per call by `stopping_distance`.
 
 stopping_distance uses an increasing-size lexicographic subset scan while
 the total subset count fits the scan budget, and otherwise a complete
@@ -36,8 +38,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import (integer_positions, mask_to_positions, pack_words,
-                    popcount, positions_to_mask, unpack_words, weight_masks)
+from ._bits import (mask_to_positions, pack_words, positions_mask,
+                    unpack_words, weight_masks, words_to_ints)
+from .erasure import _peel_residues
 from .linalg import LinearCode, Matrix, mat_mul, rank
 
 SCAN_BUDGET = 1 << 25
@@ -58,34 +61,28 @@ class StoppingReport:
     at_least: bool = False
 
 
-def _validate_positions(positions, n: int) -> Tuple[int, ...]:
-    raw = integer_positions(positions, "position")
-    pos = tuple(sorted(set(raw)))
-    if len(pos) != len(raw):
+def _check_set(mask: int, pos: List[int]) -> None:
+    """Refuse `positions_mask` output that repeats or is empty."""
+    if mask.bit_count() != len(pos):
         raise ValueError("positions must be distinct")
     if not pos:
         raise ValueError("position set must be nonempty")
-    if pos[0] < 0 or pos[-1] >= n:
-        raise ValueError(f"position out of range [0, {n})")
-    return pos
 
 
 def is_stopping_set(h: Matrix, positions) -> bool:
-    """True iff no row of h restricted to the positions has weight one."""
-    pos = _validate_positions(positions, h.n_cols)
-    mask = positions_to_mask(pos)
-    for r in h.row_masks():
-        x = r & mask
-        if x and (x & (x - 1)) == 0:
-            return False
-    return True
+    """True iff no row of h restricted to the positions has weight one,
+    that is, iff one peeling pass leaves the set as it is."""
+    mask, pos = positions_mask(positions, h.n_cols, "position")
+    _check_set(mask, pos)
+    return mask == _peel_residues(h.row_masks(), mask)
 
 
 def covers(row: Sequence[int], positions) -> bool:
     """True iff exactly one nonzero entry of the row lies in the positions."""
     vec = np.asarray(row)
-    pos = _validate_positions(positions, vec.shape[-1])
-    return int(np.count_nonzero(vec[list(pos)])) == 1
+    mask, pos = positions_mask(positions, vec.shape[-1], "position")
+    _check_set(mask, pos)
+    return int(np.count_nonzero(vec[pos])) == 1
 
 
 def _lex_first(sets: np.ndarray) -> int:
@@ -105,16 +102,16 @@ def _lex_first(sets: np.ndarray) -> int:
     return int(keep[0])
 
 
-def _scan_level(row_masks: List[int], n: int, size: int) -> Optional[int]:
-    """Smallest-lex stopping set of exactly `size` columns, as a mask."""
+def _scan_level(rows: np.ndarray, n: int, size: int) -> Optional[int]:
+    """Smallest-lex stopping set of exactly `size` columns, as a mask, for
+    n <= 64 columns and the row supports as one word each."""
     level = weight_masks(n, size)
-    dt = level.dtype
-    rows = [dt.type(r) for r in row_masks]
+    rows = rows.astype(level.dtype)
     found: List[np.ndarray] = []
     for start in range(0, len(level), _CHUNK):
         alive = level[start:start + _CHUNK]
         for r in rows:
-            alive = alive[popcount(alive & r) != 1]
+            alive = alive[np.bitwise_count(alive & r) != 1]
             if not alive.size:
                 break
         if alive.size:
@@ -183,9 +180,9 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
             del frontier[size]
         # one entry per violated (node, row) pair, node by node
         node, row = np.divmod(np.flatnonzero(
-            popcount(rows & cur[:, None]).sum(-1) == 1), m)
+            np.bitwise_count(rows & cur[:, None]).sum(-1) == 1), m)
         allowed = rows[row] & ~(cur | banned)[node]
-        count = popcount(allowed).sum(-1)
+        count = np.bitwise_count(allowed).sum(-1)
         live = np.ones(len(cur), dtype=bool)
         live[node[count == 0]] = False
         forced = np.zeros_like(cur)
@@ -201,7 +198,7 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
             witness, best = found[_lex_first(found)][None], size
         if unit.any():
             grown, grown_banned = cur[unit] | forced[unit], banned[unit]
-            sizes = popcount(grown).sum(1)
+            sizes = np.bitwise_count(grown).sum(1)
             for s in np.unique(sizes[sizes <= best]).tolist():
                 push(s, grown[sizes == s], grown_banned[sizes == s])
         if not split.any():
@@ -235,7 +232,7 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
 
     if witness is None:
         return None
-    return best, sum(int(w) << (64 * i) for i, w in enumerate(witness[0]))
+    return best, words_to_ints(witness)[0]
 
 
 def stopping_distance(h: Matrix, cap: Optional[int] = None) -> StoppingReport:
@@ -255,16 +252,16 @@ def stopping_distance(h: Matrix, cap: Optional[int] = None) -> StoppingReport:
 
     total = sum(comb(n, i) for i in range(1, limit + 1))
     found: Optional[Tuple[int, int]] = None
+    words = pack_words(h.data != 0)
+    words = words[words.any(1)]  # the nonzero row supports
     if n <= 64 and total <= SCAN_BUDGET:
-        row_masks = [r for r in h.row_masks() if r]
         for size in range(1, limit + 1):
-            mask = _scan_level(row_masks, n, size)
+            mask = _scan_level(words[:, 0], n, size)
             if mask is not None:
                 found = (size, mask)
                 break
     else:
-        words = pack_words(h.data != 0)
-        found = _bnb_min_stopping(words[words.any(1)], n, limit)
+        found = _bnb_min_stopping(words, n, limit)
 
     if found is not None:
         return StoppingReport(found[0], mask_to_positions(found[1]))

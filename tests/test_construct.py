@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reference import f_add, f_mul, ref_codewords
-from stopred._bits import mask_to_positions, positions_to_mask, weight_masks
+from stopred._bits import mask_to_positions, positions_mask, weight_masks
 from stopred.cli import load_asset
 from stopred.field import make_field
 from stopred.linalg import LinearCode, Matrix, mat_mul, nullspace, rank
@@ -273,9 +273,9 @@ def test_colex_order(hexacode):
     # MDS rows follow their supports in colexicographic order, which is
     # ascending mask order
     full = mds_pcm(hexacode).row_masks()
-    assert full == [int(m) for m in weight_masks(6, 4)]
+    assert full == tuple(int(m) for m in weight_masks(6, 4))
     pruned = pruned_mds_pcm(hexacode).row_masks()
-    assert pruned == sorted(set(pruned)) and set(pruned) < set(full)
+    assert list(pruned) == sorted(set(pruned)) and set(pruned) < set(full)
     assert [mask_to_positions(int(m)) for m in weight_masks(5, 3)] == \
         sorted(combinations(range(5), 3), key=lambda t: t[::-1])
 
@@ -319,7 +319,8 @@ def test_support_row_refuses_non_mds(hamming74, w):
     # vanishing off five positions span one of them, off six positions two
     for support in combinations(range(7), w):
         with pytest.raises(NotMDSError, match="input is not MDS"):
-            _support_rows(hamming74, [positions_to_mask(support)])
+            _support_rows(hamming74,
+                          [positions_mask(support, 7, "position")[0]])
 
 
 @pytest.mark.parametrize("per_block", [1, 4, 1000])

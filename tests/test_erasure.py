@@ -13,8 +13,8 @@ from conftest import random_parity_check
 from reference import (f_add, f_mul, f_neg, ref_codewords, ref_ml_fails,
                        ref_peel, ref_rank)
 from stopred import _bits, erasure
-from stopred._bits import (mask_dtype, mask_to_positions, popcount,
-                           positions_to_mask, weight_masks)
+from stopred._bits import (mask_dtype, mask_to_positions, positions_mask,
+                           weight_masks)
 from stopred.cli import load_asset
 from stopred.erasure import (PsiProfile, _peel_residues, _psi_ml_by_weight,
                              _psi_ml_on_lattice, _psi_stop_by_weight,
@@ -76,7 +76,8 @@ def test_peel_matches_reference():
                 batch = _peel_residues(mat.row_masks(), level)
                 for mask, residue in zip(level, batch):
                     want = ref_peel(rows, mask_to_positions(int(mask)))
-                    assert int(residue) == positions_to_mask(want)
+                    assert int(residue) == positions_mask(
+                        want, n, "position")[0]
 
 
 def _one_pass(masks, erased):
@@ -108,7 +109,7 @@ def test_batched_peel_settles_patterns_at_different_passes():
                                      for m in given]
     for mask, residue in zip(given, got):
         want = ref_peel(rows, mask_to_positions(int(mask)))
-        assert int(residue) == positions_to_mask(want)
+        assert int(residue) == positions_mask(want, n, "position")[0]
 
 
 @pytest.mark.parametrize("decode, pattern, entry", [
@@ -282,14 +283,15 @@ def test_int_and_array_peel_agree(q, n, seed):
     rows, _ = _redundant_checks(rng, q, n, int(rng.integers(0, n + 1)))
     masks = Matrix(make_field(q), rows).row_masks()
     erased = rng.random((40, n)) < rng.random((40, 1))
-    ints = [positions_to_mask(np.flatnonzero(e).tolist()) for e in erased]
+    ints = [positions_mask(np.flatnonzero(e), n, "position")[0]
+            for e in erased]
     batch = _peel_residues(masks, np.array(
         ints, dtype=object if n > 64 else mask_dtype(n)))
     got = [_peel_residues(masks, m) for m in ints]
     assert [int(x) for x in batch] == got
     for mask, residue in zip(ints, got):
-        assert residue == positions_to_mask(
-            ref_peel(rows, mask_to_positions(mask)))
+        assert residue == positions_mask(
+            ref_peel(rows, mask_to_positions(mask)), n, "position")[0]
 
 
 def test_psi_ml_golay24(golay24):
@@ -418,7 +420,7 @@ def test_monte_carlo_matches_curve(golay24):
     se = (it_true * (1 - it_true) / trials) ** 0.5
     assert abs(it_rate - it_true) <= 4 * se
 
-    dependent = _rank_gf2(masks, patterns) < popcount(patterns)
+    dependent = _rank_gf2(masks, patterns) < np.bitwise_count(patterns)
     ml_rate = np.count_nonzero(dependent) / trials
     ml_true = failure_curve(psi_ml(golay24), [0.3])[0][1]
     se = (ml_true * (1 - ml_true) / trials) ** 0.5

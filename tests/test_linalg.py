@@ -19,7 +19,7 @@ from stopred.linalg import (EnumerationTooLargeError, LinearCode, Matrix,
                             min_distance, nullspace, rank, rref)
 
 
-def test_matrix_is_immutable_and_hands_out_copies(gf2):
+def test_matrix_is_immutable_and_caches_an_immutable_tuple(gf2):
     rows = np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8)
     m = Matrix(gf2, rows)
     with pytest.raises(ValueError, match="read-only"):
@@ -27,10 +27,10 @@ def test_matrix_is_immutable_and_hands_out_copies(gf2):
     rows[0, 0] = 0  # the caller's array stays writable and is not shared
     assert m.data[0, 0] == 1
     masks = m.row_masks()
-    assert masks == [0b011, 0b110]
-    masks[0] = 0
-    masks.append(7)
-    assert m.row_masks() == [0b011, 0b110]
+    assert masks == (0b011, 0b110)
+    with pytest.raises(TypeError):
+        masks[0] = 0
+    assert m.row_masks() is masks
 
 
 def test_rank_zero_matrix(gf2):
@@ -383,4 +383,4 @@ def test_row_masks_match_per_entry_packing(rows, width):
     rng = np.random.default_rng(width * 8 + rows)
     data = rng.integers(0, 4, size=(rows, width)).astype(np.uint8)
     want = [sum(1 << j for j in range(width) if row[j]) for row in data]
-    assert Matrix(make_field(4), data).row_masks() == want
+    assert Matrix(make_field(4), data).row_masks() == tuple(want)

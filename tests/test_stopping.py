@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_parity_check
-from reference import ref_stopping_distance
+from reference import ref_is_stopping_set, ref_stopping_distance
 from stopred.cli import load_asset
 from stopred.construct import full_dual_pcm
 from stopred.field import make_field
-from stopred.linalg import LinearCode, Matrix
+from stopred.linalg import LinearCode, Matrix, mat_mul
 from stopred import stopping
 from stopred.stopping import (StoppingReport, covers, is_stopping_set,
                               stopping_distance, verify_full_stopping)
@@ -64,6 +64,39 @@ def test_numpy_integer_positions_are_accepted():
     for positions in (np.array([0, 13]), [np.int8(0), np.uint64(13)]):
         assert is_stopping_set(h24, positions) == is_stopping_set(h24, [0, 13])
         assert covers(h24.data[0], positions) == covers(h24.data[0], [0, 13])
+
+
+@pytest.mark.parametrize("check", [
+    lambda pos: is_stopping_set(load_asset("h24"), pos),
+    lambda pos: covers(load_asset("h24").data[0], pos),
+], ids=["is_stopping_set", "covers"])
+def test_range_is_refused_before_repeats(check):
+    # [30, 30] repeats a position and leaves [0, 24): range comes first
+    with pytest.raises(ValueError, match=re.escape(
+            "position out of range [0, 24)")):
+        check([30, 30])
+    with pytest.raises(ValueError, match="positions must be distinct"):
+        check([3, 3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 70), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_is_stopping_set_matches_reference(q, n, m, seed):
+    rng = np.random.default_rng(seed)
+    data = random_parity_check(rng, q, n, m).data.copy()
+    data[rng.random(data.shape) < rng.random()] = 0  # sparse rows peel
+    h, rows = Matrix(make_field(q), data), data.tolist()
+    sets = [rng.choice(n, size=int(rng.integers(1, n + 1)),
+                       replace=False).tolist() for _ in range(10)]
+    # random sets are seldom stopping sets, nonzero codeword supports are
+    gen = LinearCode.from_parity_check(h).generator.data
+    for _ in range(3):
+        word = mat_mul(h.field, rng.integers(0, q, (1, len(gen))), gen)[0]
+        if word.any():
+            sets.append(np.flatnonzero(word).tolist())
+    for pos in sets:
+        assert is_stopping_set(h, pos) == ref_is_stopping_set(rows, pos)
 
 
 def test_stopping_distance_golay_matrices():
