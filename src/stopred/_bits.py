@@ -10,7 +10,8 @@ checked boundary for positions given by a caller, and back by
 `mask_to_positions`; truth rows to words by `pack_words`, back by
 `unpack_words`; words to ints by `words_to_ints`; truth rows to ints and
 back by `pack_rows` and `unpack_rows`; and the masks of a weight from
-`weight_masks` and `weight_masks_upto`.
+`weight_levels`, one level after another, or `weight_masks` and
+`weight_masks_upto`.
 
 A family of sets can also be stored bit-sliced (`bit_planes`): plane j is a
 packed bitset over the sets, marking those that contain j.  `meet_once`
@@ -206,7 +207,7 @@ def mask_to_positions(mask: int) -> tuple:
     return tuple(out)
 
 
-def _levels(n: int, w_max: int, dt: np.dtype) -> Iterator[np.ndarray]:
+def weight_levels(n: int, w_max: int, dt: np.dtype) -> Iterator[np.ndarray]:
     """The masks over n bits of each weight 0..min(w_max, n) in turn, each
     ascending.  A weight-(w+1) mask with top bit t is one of the first
     C(t, w) weight-w masks, those below bit t, with bit t set; joined for
@@ -230,15 +231,15 @@ def weight_masks_upto(n: int, w_max: int, dtype=None) -> List[np.ndarray]:
     caller's concern: the total length is sum(C(n, w) for w <= w_max).
     dtype defaults to mask_dtype(n); `object` gives Python ints of any width.
     """
-    return list(_levels(n, w_max,
-                        mask_dtype(n) if dtype is None else np.dtype(dtype)))
+    return list(weight_levels(
+        n, w_max, mask_dtype(n) if dtype is None else np.dtype(dtype)))
 
 
 def weight_masks(n: int, w: int) -> np.ndarray:
     """All bitmasks over n bits of weight exactly w, ascending."""
     if w < 0 or w > n:
         return np.zeros(0, dtype=mask_dtype(n))
-    for level in _levels(n, w, mask_dtype(n)):
+    for level in weight_levels(n, w, mask_dtype(n)):
         pass
     return level
 

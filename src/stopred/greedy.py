@@ -139,12 +139,14 @@ def exact_stopping_redundancy(c: LinearCode,
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    d = c.min_distance()
-    n, k = c.n, c.k
-    classes = full_dual_pcm(c)
-    if classes.n_rows > CLASS_GUARD:
-        raise ValueError(f"{classes.n_rows} projective dual classes exceed the "
+    n, k, q = c.n, c.k, c.field.q
+    # the class count, checked before any dual word is enumerated
+    count = (q ** (n - k) - 1) // (q - 1)
+    if count > CLASS_GUARD:
+        raise ValueError(f"{count} projective dual classes exceed the "
                          f"{CLASS_GUARD} search guard")
+    d = c.min_distance()
+    classes = full_dual_pcm(c)
     reps = classes.data
     best = greedy_construct(c).n_rows
     nodes = 0

@@ -11,23 +11,24 @@ the total subset count fits the scan budget, and otherwise a complete
 branch-and-bound search.  Both return the lexicographically first minimum
 stopping set as the witness.
 
-The scan passes each level through the rows in blocks of _CHUNK subsets;
-every row keeps only the subsets it does not cover, so a row costs as
-many tests as there are subsets still alive when it is reached, and a
-block stops at the first row that leaves none.  Besides the level and its
-survivors, a block needs one block of scratch memory.
+The scan builds each weight level once (`_bits.weight_levels`) and passes
+it through the rows in blocks of _CHUNK subsets; every row keeps only the
+subsets it does not cover, so a row costs as many tests as there are
+subsets still alive when it is reached, and a block stops at the first
+row that leaves none.  Besides the level and its survivors, a block needs
+one block of scratch memory.
 
-The branch-and-bound branches on violated rows, with unit propagation and
-a greedy disjoint-row lower bound.  It expands a block of nodes per numpy
-pass: a node is a current set and a banned set, each a row of
-W = ceil(n/64) uint64 words, so every width takes one path.  Nodes wait
-in buckets by size, and the next block always comes from the largest
-nonempty bucket, so each size stores at most the children of one block.
-A block is sized so that each (nodes, rows, W) array holds _CHUNK >> 4
-words.  Roots go by descending column degree, ties by index, and a node
-branches on the violated row with the fewest allowed columns, ties to the
-lower row, so the tree depends on the column and row order only through
-ties.  The search is output-sensitive but exponential in the worst case.
+The branch-and-bound branches on violated rows and prunes by a greedy
+disjoint-row lower bound.  It expands a block of nodes per numpy pass: a
+node is a current set and a banned set, each a row of W = ceil(n/64)
+uint64 words, so every width takes one path.  Nodes wait in buckets by
+size, and the next block always comes from the largest nonempty bucket,
+so each size stores at most the children of one block.  A block is sized
+so that each (nodes, rows, W) array holds _CHUNK >> 4 words.  Roots go by
+descending column degree, ties by index, and a node branches on the
+violated row with the fewest allowed columns, ties to the lower row, so
+the tree depends on the column and row order only through ties.  The
+search is output-sensitive but exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._bits import (mask_to_positions, pack_words, positions_mask,
-                    unpack_words, weight_masks, words_to_ints)
+from ._bits import (mask_dtype, mask_to_positions, pack_words,
+                    positions_mask, unpack_words, weight_levels,
+                    words_to_ints)
 from .erasure import _peel_residues
 from .linalg import LinearCode, Matrix, mat_mul, rank
 
@@ -80,7 +82,9 @@ def is_stopping_set(h: Matrix, positions) -> bool:
 def covers(row: Sequence[int], positions) -> bool:
     """True iff exactly one nonzero entry of the row lies in the positions."""
     vec = np.asarray(row)
-    mask, pos = positions_mask(positions, vec.shape[-1], "position")
+    if vec.ndim != 1:
+        raise ValueError(f"row must be one-dimensional, got shape {vec.shape}")
+    mask, pos = positions_mask(positions, len(vec), "position")
     _check_set(mask, pos)
     return int(np.count_nonzero(vec[pos])) == 1
 
@@ -102,11 +106,9 @@ def _lex_first(sets: np.ndarray) -> int:
     return int(keep[0])
 
 
-def _scan_level(rows: np.ndarray, n: int, size: int) -> Optional[int]:
-    """Smallest-lex stopping set of exactly `size` columns, as a mask, for
-    n <= 64 columns and the row supports as one word each."""
-    level = weight_masks(n, size)
-    rows = rows.astype(level.dtype)
+def _scan_level(rows: np.ndarray, level: np.ndarray) -> Optional[int]:
+    """Smallest-lex stopping set among the masks of one weight level, as a
+    mask, given the row supports as masks of the level's dtype."""
     found: List[np.ndarray] = []
     for start in range(0, len(level), _CHUNK):
         alive = level[start:start + _CHUNK]
@@ -145,13 +147,15 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
     rows holds the nonzero row supports as pack_words words.  Returns
     (size, mask) of the lexicographically first minimum stopping set, or
     None.  A node is a current set `cur` and a set `banned` of columns its
-    subtree never adds.  It branches on the violated row with the fewest
-    allowed extensions (ties: the lower row), one child per allowed column
-    with the lower ones banned, so no subset is visited twice.  Every
-    minimum stopping set is reached, because a node is pruned only when its
-    size plus the greedy disjoint-row bound exceeds the best size so far
-    (at first, limit); so the row order shapes the tree through ties, but
-    not the answer.
+    subtree never adds.  One rule (Rosnes & Ytrehus, IEEE Trans. IT, 2009):
+    a node with no violated row is a stopping set; any other branches on
+    the violated row with the fewest allowed columns (ties: the lower row),
+    one child per allowed column with the lower ones banned, so no subset
+    is visited twice, and a row with no or one allowed column gives no or
+    one child.  Every minimum stopping set is reached, because a node is
+    pruned only when its size plus the greedy disjoint-row bound exceeds
+    the best size so far (at first, limit); so the row order shapes the
+    tree through ties, but not the answer.
     """
     m, width = rows.shape
     bits = 64 * width
@@ -166,10 +170,6 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
     block = max(1, (_CHUNK >> 4) // (max(m, 1) * width))
     best, witness = limit, None  # sizes above best are never explored
 
-    def push(size: int, cur: np.ndarray, banned: np.ndarray) -> None:
-        if len(cur):
-            frontier.setdefault(size, []).append((cur, banned))
-
     while frontier:
         size = max(frontier)  # deepest first keeps the stored frontier small
         if size > best:
@@ -181,36 +181,24 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
         # one entry per violated (node, row) pair, node by node
         node, row = np.divmod(np.flatnonzero(
             np.bitwise_count(rows & cur[:, None]).sum(-1) == 1), m)
-        allowed = rows[row] & ~(cur | banned)[node]
-        count = np.bitwise_count(allowed).sum(-1)
-        live = np.ones(len(cur), dtype=bool)
-        live[node[count == 0]] = False
-        forced = np.zeros_like(cur)
-        np.bitwise_or.at(forced, node[count == 1], allowed[count == 1])
-        unit = live & forced.any(1)
-        done = live & (np.bincount(node, minlength=len(cur)) == 0)
-        split = live & ~unit & ~done
+        per_node = np.bincount(node, minlength=len(cur))
+        done = per_node == 0
 
         if done.any():
             found = cur[done]
             if witness is not None and size == best:
                 found = np.vstack([witness, found])
             witness, best = found[_lex_first(found)][None], size
-        if unit.any():
-            grown, grown_banned = cur[unit] | forced[unit], banned[unit]
-            sizes = np.bitwise_count(grown).sum(1)
-            for s in np.unique(sizes[sizes <= best]).tolist():
-                push(s, grown[sizes == s], grown_banned[sizes == s])
-        if not split.any():
+        if done.all():
             continue
-        take = split[node]
-        node = (np.cumsum(split) - 1)[node[take]]
-        allowed, count = allowed[take], count[take]
-        cur, banned = cur[split], banned[split]
+        split = ~done
+        node = (np.cumsum(split) - 1)[node]
+        cur, banned, per_node = cur[split], banned[split], per_node[split]
+        allowed = rows[row] & ~(cur | banned)[node]
+        count = np.bitwise_count(allowed).sum(-1)
         # each node's violated rows by allowed count; the entries come row
         # by row, so a stable sort sends ties to the lower row
         allowed = allowed[np.argsort(node * (bits + 1) + count, kind="stable")]
-        per_node = np.bincount(node, minlength=len(cur))
         first = np.cumsum(per_node) - per_node
         # greedy disjoint rows; a node leaves once its verdict is settled
         slack = best - size  # a node is pruned when its bound exceeds this
@@ -227,8 +215,10 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
         keep = lb <= slack
         pick = allowed[first[keep]]
         node, col = np.divmod(np.flatnonzero(unpack_words(pick)), bits)
-        push(size + 1, cur[keep][node] | single[col],
-             banned[keep][node] | (pick[node] & below[col]))
+        if len(node):
+            frontier.setdefault(size + 1, []).append((
+                cur[keep][node] | single[col],
+                banned[keep][node] | (pick[node] & below[col])))
 
     if witness is None:
         return None
@@ -255,8 +245,12 @@ def stopping_distance(h: Matrix, cap: Optional[int] = None) -> StoppingReport:
     words = pack_words(h.data != 0)
     words = words[words.any(1)]  # the nonzero row supports
     if n <= 64 and total <= SCAN_BUDGET:
-        for size in range(1, limit + 1):
-            mask = _scan_level(words[:, 0], n, size)
+        dt = mask_dtype(n)
+        masks = words[:, 0].astype(dt)
+        levels = weight_levels(n, limit, dt)
+        next(levels)  # weight 0, the empty set, is no stopping set
+        for size, level in enumerate(levels, start=1):
+            mask = _scan_level(masks, level)
             if mask is not None:
                 found = (size, mask)
                 break

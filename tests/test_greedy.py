@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -264,6 +265,19 @@ def test_exact_budget_exhaustion(hexacode):
 def test_exact_class_guard(golay24):
     with pytest.raises(ValueError):
         exact_stopping_redundancy(golay24)  # 4095 classes >> 128
+
+
+def test_exact_class_guard_comes_before_the_dual(monkeypatch):
+    # the guard is the class count (3^6 - 1) / 2, known before any dual
+    # word or codeword is enumerated
+    def enumerated(*args):
+        raise AssertionError("enumerated before the guard")
+    monkeypatch.setattr(greedy, "full_dual_pcm", enumerated)
+    monkeypatch.setattr(LinearCode, "min_distance", enumerated)
+    code = LinearCode.from_parity_check(load_asset("h12"))
+    with pytest.raises(ValueError, match=re.escape(
+            "364 projective dual classes exceed the 128 search guard")):
+        exact_stopping_redundancy(code)
 
 
 def test_greedy_respects_combined_lower_bound(golay24, hexacode):

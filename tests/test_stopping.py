@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_parity_check
 from reference import ref_is_stopping_set, ref_stopping_distance
 from stopred.cli import load_asset
-from stopred.construct import full_dual_pcm
+from stopred.construct import full_dual_pcm, rm_generator, rm_stopping_pcm
 from stopred.field import make_field
 from stopred.linalg import LinearCode, Matrix, mat_mul
 from stopred import stopping
@@ -40,6 +40,16 @@ def test_covers():
     assert covers((1, 0, 0), (0,))
     assert not covers((1, 1, 0), (0, 1))
     assert covers((1, 1, 0), (1, 2))
+
+
+@pytest.mark.parametrize("row, positions, shape", [
+    ([[1, 0, 1], [0, 1, 0]], [1], "(2, 3)"),
+    (5, [0], "()"),
+], ids=["two-rows", "scalar"])
+def test_covers_refuses_a_row_that_is_not_1d(row, positions, shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"row must be one-dimensional, got shape {shape}")):
+        covers(row, positions)
 
 
 @pytest.mark.parametrize("check", [
@@ -238,6 +248,43 @@ def test_wide_bnb_matches_narrow_scan(case):
     narrow, wide = case
     for cap in range(1, narrow.n_cols + 1):
         assert stopping_distance(wide, cap) == stopping_distance(narrow, cap)
+
+
+def _bnb_nodes(h, cap):
+    """stopping_distance(h, cap) by the branch-and-bound, and the number of
+    nodes it expanded."""
+    nodes, take = [], stopping._take
+
+    def counted(chunks, block):
+        cur, banned = take(chunks, block)
+        nodes.append(len(cur))
+        return cur, banned
+    with mock.patch.object(stopping, "_take", counted), \
+            mock.patch.object(stopping, "_scan_level",
+                              side_effect=AssertionError):
+        report = stopping_distance(h, cap)
+    return report, sum(nodes)
+
+
+# the node counts pin the tree: root order, branching row, banned columns
+# and bound; a change to any of them may move the count, not the report
+def test_bnb_two_word_tree_rm_generator_3_7():
+    # 64 x 128: two words per node, and too many subsets for the scan
+    h = rm_generator(3, 7)
+    report, nodes = _bnb_nodes(h, cap=8)
+    assert report == StoppingReport(5, (56, 88, 104, 112, 120))
+    assert is_stopping_set(h, report.witness)
+    assert nodes == 125058
+
+
+def test_bnb_exhausts_permuted_rm26_stopping_rows():
+    # RM(2,6) has d = 16, so its stopping rows leave no stopping set below
+    # the cap; the search must exhaust its whole tree to say so
+    checks = rm_stopping_pcm(2, 6)
+    h = Matrix(checks.field, checks.data[
+        :, np.random.default_rng(0).permutation(checks.n_cols)])
+    assert _bnb_nodes(h, cap=8) == (StoppingReport(8, None, at_least=True),
+                                   161618)
 
 
 @pytest.mark.parametrize("n", [64, 65])
