@@ -135,6 +135,17 @@ def layers() -> dict:
         "psi_stop rm25 w_max=7": (
             lambda: stopred.psi_stop(construct.rm_generator(2, 5), w_max=7),
             1, lambda p: p.counts),
+        # stopping rows with s(H) above the cut: the per-weight table peels
+        # no pattern below s(H), where the generator above has s = 4 and
+        # peels weights 4..7; the RM(2,5) stopping rows have s = 8 at
+        # n = 32, and those of RM(2,6) s = 8 at n = 64
+        "psi_stop rm25-checks w_max=7": (
+            lambda: stopred.psi_stop(construct.rm_stopping_pcm(2, 5),
+                                     w_max=7),
+            1, lambda p: p.counts),
+        "psi_stop rm26-checks w_max=5": (
+            lambda: stopred.psi_stop(rm26_checks, w_max=5), 1,
+            lambda p: p.counts),
         "psi_ml rm15-checks": (
             lambda: stopred.psi_ml(code_of(construct.rm_generator(1, 5))),
             1, lambda p: p.counts),

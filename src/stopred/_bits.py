@@ -65,8 +65,12 @@ def up_close(words: np.ndarray, n: int) -> np.ndarray:
 
     This is Yates' sum-over-subsets transform with OR: pass i folds each
     subset into the one that also holds bit i.  The passes for bits 0..5
-    are shifts inside each word, one chunk at a time; the rest fold whole
-    words in place.
+    are shifts inside each word, one chunk at a time; the rest fold words
+    in place.  Word-index bit i ORs each run of 2^i words into the run
+    after it.  For runs of 1, 2 or 4 words that goes one word column at a
+    time, since a view with so short an inner axis is slow: on 2^18 words,
+    bit 1 took 0.23 ms by columns and 1.66 ms as one view (2-vCPU Xeon,
+    numpy 2.4).  Longer runs fold as one view.
     """
     _check_lattice(words, n)
     for start in range(0, len(words), LATTICE_CHUNK):
@@ -74,8 +78,14 @@ def up_close(words: np.ndarray, n: int) -> np.ndarray:
         for i in range(min(n, 6)):
             block |= (block & _LOW_BITS[i]) << np.uint64(1 << i)
     for i in range(n - 6):
-        v = words.reshape(-1, 2, 1 << i)
-        v[:, 1] |= v[:, 0]
+        half = 1 << i
+        if half < 8:
+            v = words.reshape(-1, 2 * half)
+            for o in range(half):
+                v[:, half + o] |= v[:, o]
+        else:
+            v = words.reshape(-1, 2, half)
+            v[:, 1] |= v[:, 0]
     return words
 
 

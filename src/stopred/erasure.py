@@ -14,10 +14,20 @@ per-weight path.
 Every other table (more columns, a w_max cut, too many codewords, or a
 high-rate code or low-rank H, where few patterns need testing) is counted
 exhaustively per weight, LATTICE_CHUNK pattern masks at a time: peeling by
-`_peel_residues`, which carries into each pass only the patterns that the
-last one changed and left nonempty, binary ML by the batched GF(2) rank of
-the erased columns (`linalg._rank_gf2`), and ML over q > 2 by the test of
-`ml_decode` (`_independent`) one pattern at a time.
+`stopping._peel_residues`, which carries into each pass only the patterns
+that the last one changed and left nonempty, binary ML by the batched
+GF(2) rank of the erased columns (`linalg._rank_gf2`), and ML over q > 2
+by the test of `ml_decode` (`_independent`) one pattern at a time.  Three
+exact shortcuts avoid pointless enumeration there: once every pattern of
+some weight fails, every heavier weight fails too (failure is monotone
+under adding erasures); any pattern with more erasures than rank(H) has
+linearly dependent columns, so both decoders fail on it; and no pattern
+lighter than the stopping distance s(H) contains a stopping set, so
+peeling fails on none.  The per-weight peel therefore asks
+`stopping_distance` for s(H) first, capped at the heaviest weight it could
+enumerate, which is no heavier than w_max, rank(H) and the last level
+before the first past WEIGHT_GUARD.  The search thus reaches no further
+than the enumeration could, and a weight past that level still raises.
 
 The single-pattern decoders do only the work that depends on the
 pattern.  The erased positions become one checked mask through the one
@@ -27,11 +37,7 @@ row masks (`Matrix.row_masks`).  `ml_decode` reads the cached RREF row
 basis (`Matrix._ml_form`): its erased pivot columns are distinct unit
 vectors, so it ranks only the other erased columns, on the rows of the
 pivots not erased, with `linalg._rank_gf2` or the vector kernel
-`linalg._rank_gfq`.  Two analytic shortcuts are exact and used to avoid
-pointless enumeration there: once every pattern of some weight fails, every
-heavier weight fails too (failure is monotone under adding erasures); and
-any pattern with more erasures than rank(H) has linearly dependent
-columns, so both decoders fail on it.
+`linalg._rank_gfq`.
 """
 
 from __future__ import annotations
@@ -48,12 +54,13 @@ from ._bits import (LATTICE_CHUNK, count_by_popcount, lattice_words,
                     weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
                      _enumerate_combinations, _rank_gf2, _rank_gfq, rank)
+from .stopping import _peel_residues, stopping_distance
 
 WEIGHT_GUARD = 1 << 25
 LATTICE_MAX_N = 26  # one bit per subset: 2 MiB at n = 24, 8 MiB at n = 26
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeelOutcome:
     """Result of peeling: recovered positions and the residual stopping set
     (empty residue means full recovery)."""
@@ -170,38 +177,6 @@ def _independent(h: Matrix, pos) -> bool:
         == len(rest)
 
 
-def _peel_residues(row_masks: Sequence[int], erased):
-    """Peeling fixpoint of one pattern mask (an int) or of an array of them:
-    a check that meets the erased positions exactly once resolves that one.
-    Both forms run the same pass rule, an int by branching on each check,
-    an array by multiplying by the single-bit test (x = 0 passes it but
-    then clears nothing).  A pattern that a pass leaves unchanged or empty
-    is settled.  An array carries only its live patterns into the next
-    pass and writes each pass's residues into a copy, so the input array
-    is never written."""
-    if not isinstance(erased, np.ndarray):
-        while True:
-            before = erased
-            for r in row_masks:
-                x = erased & r
-                if x and not x & (x - 1):
-                    erased ^= x
-            if erased == before or not erased:
-                return erased
-    out, idx = erased.copy(), np.arange(len(erased))
-    cur = erased
-    while True:
-        before = cur
-        for r in row_masks:
-            x = cur & r
-            cur = cur ^ x * (x & (x - 1) == 0)
-        live = (cur != before) & (cur != 0)
-        out[idx] = cur
-        idx, cur = idx[live], cur[live]
-        if not len(idx):
-            return out
-
-
 def _on_lattice(n: int, w_max: Optional[int]) -> bool:
     """The complete table is wanted and 2^n lattice bytes fit the guard."""
     return n <= LATTICE_MAX_N and (w_max is None or w_max >= n)
@@ -278,17 +253,27 @@ def _codeword_supports(c: LinearCode) -> np.ndarray:
 
 
 def _count_by_weight(n: int, r: int, w_max: Optional[int],
-                     fails: Callable[[np.ndarray], Sequence]
+                     fails: Callable[[np.ndarray], Sequence],
+                     lightest: Callable[[int], int] = lambda top: 0
                      ) -> List[Optional[int]]:
     """Per-weight table: the number of weight-w masks where fails(masks) is
     nonzero, for each weight up to w_max, except where a shortcut below
     gives the count exactly.  A level is tested LATTICE_CHUNK masks at a
-    time, which bounds the decoders' per-row scratch arrays."""
+    time, which bounds the decoders' per-row scratch arrays.
+
+    lightest(top) is a weight s <= top + 1 below which no mask fails, so
+    the weights below s count 0 without enumeration.  top is the heaviest
+    weight the enumeration could reach: no heavier than w_max or r, nor
+    than the last level before the first that exceeds WEIGHT_GUARD (levels
+    grow up to n / 2).  A weight past that level still raises."""
     if w_max is not None and w_max < 0:
         raise ValueError(f"w_max must be >= 0, got {w_max}")
     limit = n if w_max is None else min(w_max, n)
-    counts: List[Optional[int]] = [None] * (n + 1)
-    for w in range(n + 1):
+    guarded = next((w - 1 for w in range(n + 1)
+                    if comb(n, w) > WEIGHT_GUARD), n)
+    start = lightest(min(limit, r, guarded))
+    counts: List[Optional[int]] = [0] * start + [None] * (n + 1 - start)
+    for w in range(start, n + 1):
         if w > r:
             counts[w] = comb(n, w)  # dependent columns: always undecodable
             continue
@@ -310,8 +295,15 @@ def _count_by_weight(n: int, r: int, w_max: Optional[int],
 def _psi_stop_by_weight(h: Matrix,
                         w_max: Optional[int]) -> List[Optional[int]]:
     masks = h.row_masks()
+
+    def lightest(top: int) -> int:
+        # no pattern lighter than s(H) fails; the empty pattern never does,
+        # so top = 0 (which n = 0 gives, where the search refuses) needs no
+        # search
+        return stopping_distance(h, cap=top + 1).s if top else 1
     return _count_by_weight(h.n_cols, rank(h), w_max,
-                            lambda block: _peel_residues(masks, block))
+                            lambda block: _peel_residues(masks, block),
+                            lightest)
 
 
 def _psi_ml_by_weight(c: LinearCode,

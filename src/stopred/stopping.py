@@ -2,9 +2,11 @@
 
 A stopping set of a parity-check matrix H is a nonempty set of columns such
 that no row of H restricted to those columns has exactly one nonzero entry,
-so that a peeling pass (`erasure._peel_residues`) leaves it unchanged.
-Only row supports matter, so both search engines below work on bitmasks,
-packed once per call by `stopping_distance`.
+so that a peeling pass (`_peel_residues`, the one peel of the package)
+leaves it unchanged.  Peeling fails on a pattern exactly when the pattern
+contains a stopping set, so no pattern lighter than the stopping distance
+fails.  Only row supports matter, so both search engines below work on
+bitmasks, packed once per call by `stopping_distance`.
 
 stopping_distance uses an increasing-size lexicographic subset scan while
 the total subset count fits the scan budget, and otherwise a complete
@@ -42,7 +44,6 @@ import numpy as np
 from ._bits import (mask_dtype, mask_to_positions, pack_words,
                     positions_mask, unpack_words, weight_levels,
                     words_to_ints)
-from .erasure import _peel_residues
 from .linalg import LinearCode, Matrix, mat_mul, rank
 
 SCAN_BUDGET = 1 << 25
@@ -69,6 +70,38 @@ def _check_set(mask: int, pos: List[int]) -> None:
         raise ValueError("positions must be distinct")
     if not pos:
         raise ValueError("position set must be nonempty")
+
+
+def _peel_residues(row_masks: Sequence[int], erased):
+    """Peeling fixpoint of one pattern mask (an int) or of an array of them:
+    a check that meets the erased positions exactly once resolves that one.
+    Both forms run the same pass rule, an int by branching on each check,
+    an array by multiplying by the single-bit test (x = 0 passes it but
+    then clears nothing).  A pattern that a pass leaves unchanged or empty
+    is settled.  An array carries only its live patterns into the next
+    pass and writes each pass's residues into a copy, so the input array
+    is never written."""
+    if not isinstance(erased, np.ndarray):
+        while True:
+            before = erased
+            for r in row_masks:
+                x = erased & r
+                if x and not x & (x - 1):
+                    erased ^= x
+            if erased == before or not erased:
+                return erased
+    out, idx = erased.copy(), np.arange(len(erased))
+    cur = erased
+    while True:
+        before = cur
+        for r in row_masks:
+            x = cur & r
+            cur = cur ^ x * (x & (x - 1) == 0)
+        live = (cur != before) & (cur != 0)
+        out[idx] = cur
+        idx, cur = idx[live], cur[live]
+        if not len(idx):
+            return out
 
 
 def is_stopping_set(h: Matrix, positions) -> bool:

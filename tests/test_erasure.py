@@ -1,5 +1,6 @@
 import re
 from contextlib import contextmanager
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 from math import comb
 from unittest import mock
@@ -16,12 +17,14 @@ from stopred import _bits, erasure
 from stopred._bits import (mask_dtype, mask_to_positions, positions_mask,
                            weight_masks)
 from stopred.cli import load_asset
+from stopred.construct import rm_generator, rm_stopping_pcm
 from stopred.erasure import (PsiProfile, _peel_residues, _psi_ml_by_weight,
                              _psi_ml_on_lattice, _psi_stop_by_weight,
                              _psi_stop_on_lattice, failure_curve,
                              iterative_decode, ml_decode, psi_ml, psi_stop)
 from stopred.field import make_field
-from stopred.linalg import LinearCode, Matrix, _rank_gf2
+from stopred.linalg import (EnumerationTooLargeError, LinearCode, Matrix,
+                            _rank_gf2)
 from stopred.stopping import is_stopping_set, stopping_distance
 
 
@@ -155,6 +158,12 @@ def test_pattern_forms_and_repeats_agree(name):
             assert decode(h, (p for p in pattern)) == want
             assert decode(h, np.array(pattern, dtype=np.int64)) == want
             assert decode(h, pattern + pattern[::-1]) == want
+
+
+def test_peel_outcome_is_immutable():
+    out = iterative_decode(load_asset("h12"), [0, 1, 2])
+    with pytest.raises(FrozenInstanceError):
+        out.residue = frozenset()
 
 
 def test_ml_decode_basics(golay24):
@@ -492,12 +501,21 @@ CHUNKS = st.sampled_from([1, 8, _bits.LATTICE_CHUNK])
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices({2: 11, 3: 11, 4: 11}), CHUNKS)
+# no rows: every nonempty pattern fails; the identity: no stopping set,
+# s = n + 1, and rank n
+@example(Matrix(make_field(3), np.zeros((0, 4), dtype=np.uint8)), 1)
+@example(Matrix(make_field(2), np.eye(6, dtype=np.uint8)), 8)
 def test_psi_stop_lattice_matches_oracle_and_per_weight(h, chunk):
     rows = h.data.tolist()
     with lattice_chunk(chunk):
         table = _psi_stop_on_lattice(h)
     assert table == _oracle_table(h.n_cols, lambda e: ref_peel(rows, e))
     assert table == _psi_stop_by_weight(h, None)
+    # every cut: the weights below s(H) are filled in, not peeled
+    for w_max in range(h.n_cols + 1):
+        cut = _psi_stop_by_weight(h, w_max)
+        assert cut[:w_max + 1] == table[:w_max + 1]
+        assert all(c is None or c == t for c, t in zip(cut, table))
 
 
 # generators stay at q^k <= 169 codewords: the oracle re-enumerates the
@@ -593,6 +611,54 @@ def test_lowest_failing_weight_is_s_and_d(name):
         psi_c = psi_ml(code).counts
     assert min(w for w, c in enumerate(psi_h) if c) == stopping_distance(h).s
     assert min(w for w, c in enumerate(psi_c) if c) == code.min_distance()
+
+
+@contextmanager
+def levels_requested():
+    """Record the weights whose pattern masks the per-weight path builds."""
+    seen = []
+
+    def record(n, w):
+        seen.append(w)
+        return weight_masks(n, w)
+    with mock.patch.object(erasure, "weight_masks", side_effect=record):
+        yield seen
+
+
+def test_per_weight_peel_starts_at_the_stopping_distance():
+    # the RM(2,5) stopping rows have s = 8: a cut at 7 peels nothing
+    with levels_requested() as seen:
+        counts = _psi_stop_by_weight(rm_stopping_pcm(2, 5), 7)
+        # a cut at 0 needs neither the search nor the empty pattern
+        assert _psi_stop_by_weight(rm_stopping_pcm(2, 5), 0)[:2] == [0, None]
+    assert seen == []
+    assert counts[:9] == [0] * 8 + [None]
+    # a check matrix of RM(3,5), s = 4 and rank 6: only weights 4..6 are
+    # peeled
+    with levels_requested() as seen:
+        counts = _psi_stop_by_weight(rm_stopping_pcm(1, 5), None)
+    assert seen == [4, 5, 6]
+    assert counts[:8] == [0, 0, 0, 0, 1800, 66288, 715712, comb(32, 7)]
+    # 128 columns, past the 64-bit pattern masks: RM(2,7) generator rows
+    # as checks have s = 4, so a cut at 3 needs no masks
+    assert _psi_stop_by_weight(rm_generator(2, 7), 3)[:5] == [0] * 4 + [None]
+
+
+def test_per_weight_guard_still_refuses_past_the_search():
+    # a check matrix of RM(2,6), s = 16 at n = 64, where C(64,6) is the
+    # first level past the 2^25 guard: the search stops at weight 5 and
+    # nothing is peeled before the refusal
+    h = rm_stopping_pcm(3, 6)
+    with mock.patch.object(erasure, "stopping_distance",
+                           wraps=stopping_distance) as search, \
+            mock.patch.object(erasure, "weight_masks",
+                              side_effect=AssertionError):
+        assert _psi_stop_by_weight(h, 5)[:7] == [0] * 6 + [None]
+        with pytest.raises(EnumerationTooLargeError,
+                           match=r"C\(64,6\) patterns exceed the per-weight "
+                                 r"2\^25 guard"):
+            _psi_stop_by_weight(h, 6)
+    assert [c.kwargs["cap"] for c in search.call_args_list] == [6, 6]
 
 
 @pytest.mark.parametrize("q", [11, 13])
