@@ -8,8 +8,9 @@ layer.  Each layer runs on fixed, seeded inputs; its time is the best of
 REPEATS runs (fewer for the layers in SLOW_REPEATS), and its answer is
 stored next to the time so that two files can be checked to have computed
 the same thing.  Only public calls (plus `Matrix.row_masks` of a new
-`Matrix`, which caches its masks, and `cli.main`) are timed, so the script
-runs on older commits too.  The JSON file goes next to this script.
+`Matrix`, which caches its masks, `cli.main`, and the lattice count
+`_bits.count_by_popcount`, there since the packed lattice) are timed, so
+the script runs on older commits too.  The JSON file goes next to this script.
 
 Raw seconds drift with the speed the machine gives the run, so the
 script also times perfbench's stopred-free reference kernel before each
@@ -72,7 +73,7 @@ def digest(m) -> str:
 def layers() -> dict:
     """name -> (zero-argument call, calls per run, answer -> JSON value)."""
     import stopred
-    from stopred import cli, construct, field
+    from stopred import _bits, cli, construct, field
     from stopred.linalg import LinearCode, Matrix
 
     def code_of(h):
@@ -108,6 +109,9 @@ def layers() -> dict:
     hstar_text = cli.render_matrix_text(hstar)
     rm25_code = code_of(construct.rm_generator(2, 5))  # [32, 16, 8]
     rm25_code.min_distance()
+    # a seeded n = 24 subset lattice, one bit per subset, about half set
+    lattice24 = np.random.default_rng(0).integers(
+        0, 2 ** 64, size=1 << 18, dtype=np.uint64)
 
     def cli_calls(argv):
         """CLI_CALLS in-process `cli.main` calls, stdout captured."""
@@ -162,6 +166,12 @@ def layers() -> dict:
                        lambda p: p.counts),
         "psi_ml rs13": (lambda: stopred.psi_ml(rs13_code), 1,
                         lambda p: p.counts),
+        # the complete ternary Golay table, 364 projective classes of 729
+        # codewords on a 2^12 lattice
+        "psi_ml h12": (lambda: stopred.psi_ml(h12_code), 1,
+                       lambda p: p.counts),
+        "count_by_popcount n=24": (
+            lambda: _bits.count_by_popcount(lattice24, 24), 1, list),
         # a w_max cut keeps the ternary Golay table off the lattice: the
         # q > 2 ML test one pattern at a time, 2510 patterns
         "psi_ml h12 w_max=6": (lambda: stopred.psi_ml(h12_code, w_max=6), 1,

@@ -23,12 +23,14 @@ n = 24 and 8 MiB at n = 26.  It is 2^(n-6) little-endian uint64 words, and
 bit s of word i is subset 64 i + s.  For n < 6 it is one word whose bits
 from 2^n up stay clear.
 `up_close` closes it upwards in place and `count_by_popcount` counts it by
-subset size; neither needs more than one chunk of scratch memory.
+subset size, reading each chunk in the cached order of `_index_order`;
+neither needs more than one chunk of scratch memory.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from operator import index
 from typing import Iterable, Iterator, List, Sequence, Tuple
@@ -89,26 +91,48 @@ def up_close(words: np.ndarray, n: int) -> np.ndarray:
     return words
 
 
+@lru_cache(maxsize=None)
+def _index_order(chunk: int) -> Tuple[np.ndarray, Tuple[int, ...],
+                                      np.ndarray]:
+    """(order, starts, weights) for a lattice chunk of `chunk` words, a
+    power of two: the word indices sorted by popcount, in the smallest
+    unsigned dtype that holds them (128 KiB at LATTICE_CHUNK); where each
+    run of index popcount g = 0..log2(chunk) starts in that order; and
+    weights[j, g] = j + g, the weight of a subset of low weight j in run
+    g.  The arrays are read-only."""
+    bits = chunk.bit_length() - 1
+    order = np.bitwise_count(np.arange(chunk, dtype=np.uint64)).argsort(
+        kind="stable").astype(np.min_scalar_type(chunk - 1))
+    starts = tuple(accumulate((comb(bits, g) for g in range(bits)),
+                              initial=0))
+    weights = np.add.outer(np.arange(7), np.arange(bits + 1))
+    order.flags.writeable = weights.flags.writeable = False
+    return order, starts, weights
+
+
 def count_by_popcount(words: np.ndarray, n: int) -> List[int]:
     """counts[w] = number of set subsets S with |S| = w, w = 0..n, of a
     packed lattice over n positions.
 
-    The subsets of word i with low weight j have weight popcount(i) + j, so
-    each j adds the popcounts of words & _WEIGHT_BITS[j] by popcount(i).
+    The subsets of word i with low weight j have weight popcount(i) + j.
+    Each chunk is read in order of index popcount (`_index_order`), so for
+    each j one integer `np.add.reduceat` sums the popcounts of
+    words & _WEIGHT_BITS[j] over each run of one index popcount, and one
+    `np.add.at` adds every run to its weight.  A run sums at most 64 bits
+    per word, and its dtype holds 64 * chunk.
     """
     _check_lattice(words, n)
     chunk = min(len(words), LATTICE_CHUNK)
-    low = np.bitwise_count(np.arange(chunk, dtype=np.uint32)).astype(np.intp)
-    width = chunk.bit_length()  # index weights 0..log2(chunk) in a chunk
-    counts = np.zeros(n + 1, dtype=np.int64)
+    order, starts, weights = _index_order(chunk)
+    low = min(n, 6) + 1  # low weights 0..6 of a word's 64 subsets
+    runs = np.empty((low, len(starts)), dtype=np.min_scalar_type(64 * chunk))
+    counts = np.zeros(n + 1, dtype=np.uint64)
     for start in range(0, len(words), chunk):
-        block = words[start:start + chunk]
-        high = start.bit_count()
-        for j in range(min(n, 6) + 1):
-            # the float sums are exact: a chunk holds at most 2^22 subsets
-            sums = np.bincount(low, minlength=width, weights=np.bitwise_count(
-                block & _WEIGHT_BITS[j]))
-            counts[high + j:high + j + width] += sums.astype(np.int64)
+        block = words[start:start + chunk][order]
+        for j in range(low):
+            np.add.reduceat(np.bitwise_count(block & _WEIGHT_BITS[j]), starts,
+                            out=runs[j])
+        np.add.at(counts, weights[:low] + start.bit_count(), runs)
     return [int(c) for c in counts]
 
 
@@ -166,6 +190,9 @@ def words_to_ints(lanes: np.ndarray) -> List[int]:
     return out
 
 
+_INT = frozenset({int})
+
+
 @lru_cache(maxsize=16)
 def _position_bits(n: int) -> dict:
     """{j: 1 << j} for the positions j of [0, n); read-only."""
@@ -178,26 +205,31 @@ def positions_mask(positions: Iterable, n: int,
 
     An entry that is not an integer (a float, a string or a bool; numpy
     integers are integers) is refused as "<what> <entry> is not an
-    integer".  A 1-D integer array is read by one `tolist()`, and entries
-    whose type is exactly int skip the per-entry check.  Each entry is
-    looked up in a table of the bits 1 << j, so one outside [0, n) is
-    refused as "<what> out of range [0, n)" before anything is shifted.
-    `entries` are the integers as given; distinct bits sum to their OR, so
-    a repeated entry shows as mask.bit_count() < len(entries)."""
+    integer".  A 1-D integer array is read by one `tolist()`; a list is
+    read as it is, neither copied nor written.  One C-level pass checks
+    that every entry's type is exactly int, and only otherwise is each
+    entry checked.  Each entry is looked up in a table of the bits 1 << j,
+    so one outside [0, n) is refused as "<what> out of range [0, n)"
+    before anything is shifted.  `entries` are the integers as given
+    (the caller's own list, if it passed one of ints); distinct bits sum
+    to their OR, so a repeated entry shows as
+    mask.bit_count() < len(entries)."""
     if (isinstance(positions, np.ndarray) and positions.ndim == 1
             and positions.dtype.kind in "iu"):
         entries = positions.tolist()
     else:
-        entries = list(positions)
-        if not set(map(type, entries)) <= {int}:
-            for i, p in enumerate(entries):
+        entries = positions if type(positions) is list else list(positions)
+        if not _INT.issuperset(map(type, entries)):
+            checked = []
+            for p in entries:
                 try:
                     if type(p) is bool:
                         raise TypeError
-                    entries[i] = index(p)
+                    checked.append(index(p))
                 except TypeError:
                     raise ValueError(f"{what} {p!r} is not an integer") \
                         from None
+            entries = checked
     bits = _position_bits(n)
     try:
         mask = sum(map(bits.__getitem__, entries))

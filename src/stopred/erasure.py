@@ -6,10 +6,10 @@ a nonempty stopping set for peeling, the support of a nonzero codeword for
 ML.  A complete table for n <= LATTICE_MAX_N columns can therefore be
 counted on the lattice of all 2^n subsets, one bit per subset: 2 MiB at
 n = 24 and 8 MiB at n = 26.  Mark the witnesses, close the marks upwards,
-and count them by popcount.  ML also needs the q^k codewords within
-ENUM_GUARD, and marks their supports on one byte per subset before packing
-them.  The lattice runs when its estimated cost is below that of the
-per-weight path.
+and count them by popcount.  ML also needs q^k within ENUM_GUARD; it
+enumerates one codeword per projective class, since scalar multiples
+share a support, and ORs each support into its lattice word.  The lattice
+runs when its estimated cost is below that of the per-weight path.
 
 Every other table (more columns, a w_max cut, too many codewords, or a
 high-rate code or low-rank H, where few patterns need testing) is counted
@@ -244,12 +244,16 @@ def _stopping_sets(row_masks: Sequence[int], n: int) -> np.ndarray:
 
 def _codeword_supports(c: LinearCode) -> np.ndarray:
     """Packed subset lattice with the support of every nonzero codeword
-    set.  The supports are marked on one byte per subset, then packed."""
-    marks = np.zeros(64 * lattice_words(c.n), dtype=bool)
-    for block in _enumerate_combinations(c.field, c.generator.data):
-        marks[pack_words(block != 0)[:, 0]] = True
-    marks[0] = False  # the zero codeword
-    return pack_words(marks[None])[0]
+    set.  Scalar multiples share a support, so one word per projective
+    class is enumerated, (q^k - 1) / (q - 1) in all, and each support is
+    ORed into its lattice word."""
+    out = np.zeros(lattice_words(c.n), dtype=np.uint64)
+    for block in _enumerate_combinations(c.field, c.generator.data,
+                                         projective=True):
+        supports = pack_words(block != 0)[:, 0]
+        np.bitwise_or.at(out, (supports >> np.uint64(6)).astype(np.intp),
+                         np.uint64(1) << (supports & np.uint64(63)))
+    return out
 
 
 def _count_by_weight(n: int, r: int, w_max: Optional[int],
@@ -339,10 +343,11 @@ def psi_stop(h: Matrix, w_max: Optional[int] = None,
     stopping-set lattice, counted by popcount, when that is the cheaper way.
     """
     n, m = h.n_cols, h.n_rows
-    # a lattice subset costs 1 ns plus 0.02 ns per row (0.8-1.6 ns for 2 to
-    # 36 rows at n = 24), a peeled pattern 50 ns plus 2 ns per row (the
-    # per-weight path took 15-160 ns per pattern of weight <= rank for
-    # rank 4-9 and 4-36 rows at n = 24)
+    # a lattice subset costs 1 ns plus 0.02 ns per row (0.49-0.88 ns for 2
+    # to 36 rows at n = 24, 0.58-1.70 ns at n = 20, and more below, where
+    # the fixed costs of both paths outweigh these), a peeled pattern 50 ns
+    # plus 2 ns per row (the per-weight path took 15-160 ns per pattern of
+    # weight <= rank for rank 4-9 and 4-36 rows at n = 24)
     lattice_ns = (1 + m / 50) * 2 ** n
     if (_on_lattice(n, w_max)
             and _lattice_cheaper(n, rank(h), lattice_ns, 50 + 2 * m)):
@@ -361,15 +366,15 @@ def psi_ml(c: LinearCode, w_max: Optional[int] = None) -> PsiProfile:
     that is the cheaper way.
     """
     n, k, q = c.n, c.k, c.field.q
-    # a lattice subset costs 1.5 ns (1.0-1.4 ns at n = 20 and 24 with up to
-    # 4096 codewords) and a codeword 6 ns per symbol (3-7.5 ns for q = 2, 3,
-    # 4, 5, 7, 11, 13 at 59K to 1.8M codewords); a GF(2) pattern r^2 ns
-    # for r = n - k check rows (the per-weight path took 0.84-1.02 r^2 ns
-    # per pattern of weight <= r for r = 8..20 at n = 24, weight masks
-    # included), any other pattern 3.5 us per check row (the
+    # a lattice subset costs 0.6 ns (0.48-0.65 ns at n = 20..26 with 16 to
+    # 4096 codewords) and a projective class 9 ns per symbol (2.6-10.5 ns
+    # for q = 2, 3, 4, 5, 7, 11, 13 at 16K to 402K classes); a GF(2)
+    # pattern r^2 ns for r = n - k check rows (the per-weight path took
+    # 0.84-1.02 r^2 ns per pattern of weight <= r for r = 8..20 at n = 24,
+    # weight masks included), any other pattern 3.5 us per check row (the
     # per-weight path took 1.5-4.0 us per row and pattern for r = 3..10 and
     # q = 3..13, 14-22 us per pattern on RS [11, 5] and 17-29 on RS [13, 5])
-    lattice_ns = 1.5 * 2 ** n + 6 * n * q ** k
+    lattice_ns = 0.6 * 2 ** n + 9 * n * (q ** k - 1) // (q - 1)
     pattern_ns = (n - k) ** 2 if q == 2 else 3_500 * (n - k)
     if (_on_lattice(n, w_max) and q ** k <= ENUM_GUARD
             and _lattice_cheaper(n, n - k, lattice_ns, pattern_ns)):

@@ -9,7 +9,8 @@ column step for the whole stack; `_rref` reduces one matrix as the stack of
 one.  One reduced form gives a matrix's row basis and, by `_kernel`, its
 nullspace.  Every codeword set comes from one span engine,
 `_enumerate_combinations`, which extends the span of a basis row by row
-with field adds.
+with field adds; it also gives one word per projective class, the
+combinations whose first nonzero coefficient is 1.
 Ranks come from two elimination kernels that share one rule: a vector is
 reduced by the earlier basis vectors at their pivots.  `_rank_gf2` works on
 vectors packed into ints; it takes one mask or an array of masks, so the
@@ -257,31 +258,43 @@ def nullspace(m: Matrix) -> Matrix:
     return _kernel(m.field, *_rref(m.field, m.data))
 
 
-def _enumerate_combinations(field: FieldSpec,
-                            gen: np.ndarray) -> Iterator[np.ndarray]:
+def _enumerate_combinations(field: FieldSpec, gen: np.ndarray,
+                            projective: bool = False
+                            ) -> Iterator[np.ndarray]:
     """Yield blocks of all q^k row combinations of gen, message-counting
     order.  Last row first, row g turns the span S of the rows below it into
     [S, S + g, ..., S + (q-1)g] while that fits SPAN_BLOCK words (the first
     row always joins); each combination of the rows left, from this same
-    function, is then added to the whole block."""
+    function, is then added to the whole block.
+
+    With `projective`, yield only the combinations whose first nonzero
+    coefficient is 1, one per class of nonzero scalar multiples:
+    (q^k - 1) / (q - 1) words, every nonzero one for q = 2.  They are the
+    blocks S + g above (message indices [q^j, 2q^j) for row k-1-j), in one
+    block, then the rows left's projective words added to the whole span.
+    """
     k, n = gen.shape
     q = field.q
     if q ** k > ENUM_GUARD:
         raise EnumerationTooLargeError(
             f"{q}^{k} combinations exceed the 2^26 enumeration guard")
-    low = np.zeros((1, n), dtype=np.uint8)
+    low, lead = np.zeros((1, n), dtype=np.uint8), []
     split = k
     while split and (len(low) == 1 or len(low) * q <= SPAN_BLOCK):
         split -= 1
-        low = np.concatenate([low] + [
-            field.add_arr(low, field.mul_arr(gen[split], c))
-            for c in range(1, q)])
-    if not split:
+        steps = [field.add_arr(low, field.mul_arr(gen[split], c))
+                 for c in range(1, q)]
+        lead.append(steps[0])
+        low = np.concatenate([low] + steps)
+    if projective:
+        if lead:
+            yield np.concatenate(lead)
+    elif not split:
         yield low
-        return
-    for high in _enumerate_combinations(field, gen[:split]):
-        for word in high:
-            yield field.add_arr(low, word)
+    if split:
+        for high in _enumerate_combinations(field, gen[:split], projective):
+            for word in high:
+                yield field.add_arr(low, word)
 
 
 class LinearCode:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stopred._bits import pack_words, weight_masks, weight_masks_upto
+from stopred._bits import (pack_words, positions_mask, weight_masks,
+                           weight_masks_upto)
 from stopred.cli import load_asset
 from stopred.erasure import iterative_decode, ml_decode
 from stopred.stopping import covers, is_stopping_set
@@ -70,6 +71,19 @@ ENTRY = st.one_of(
     st.integers(-3, -1), st.integers(N, N + 3), st.just(2 ** 40),
     st.integers(0, N - 1).map(np.int64), st.integers(0, N - 1).map(np.uint8),
     st.sampled_from([1.0, 2.5, np.float64(2.0), True, False, np.True_, "3"]))
+
+
+def test_a_list_is_read_in_place_and_never_written():
+    ints = [3, 1, 3]
+    mask, entries = positions_mask(ints, 5, "position")
+    assert mask == 0b1010 and entries is ints
+    mixed = [np.int64(3), np.uint8(1)]
+    mask, entries = positions_mask(mixed, 5, "position")
+    assert (mask, entries) == (0b1010, [3, 1])
+    assert [type(p) for p in entries] == [int, int]
+    assert [type(p) for p in mixed] == [np.int64, np.uint8]
+    with pytest.raises(ValueError, match="position 2.0 is not an integer"):
+        positions_mask([1, 2.0], 5, "position")
 
 
 def _refusal(entries, what, as_set):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_parity_check
 from reference import (f_add, f_mul, f_neg, ref_codewords, ref_ml_fails,
                        ref_peel, ref_rank)
-from stopred import _bits, erasure
+from stopred import _bits, erasure, linalg
 from stopred._bits import (mask_dtype, mask_to_positions, positions_mask,
                            weight_masks)
 from stopred.cli import load_asset
@@ -24,7 +24,7 @@ from stopred.erasure import (PsiProfile, _peel_residues, _psi_ml_by_weight,
                              iterative_decode, ml_decode, psi_ml, psi_stop)
 from stopred.field import make_field
 from stopred.linalg import (EnumerationTooLargeError, LinearCode, Matrix,
-                            _rank_gf2)
+                            _rank_gf2, enumerate_codewords)
 from stopred.stopping import is_stopping_set, stopping_distance
 
 
@@ -533,6 +533,28 @@ def test_psi_ml_lattice_matches_oracle_and_per_weight(g, chunk):
     assert table == _psi_ml_by_weight(code, None)
 
 
+# n per field keeps the k = n codes at q^n <= 4096 codewords
+@pytest.mark.parametrize("q, n", [(2, 8), (3, 7), (4, 6), (5, 5), (7, 4)])
+def test_codeword_supports_match_every_nonzero_codeword(q, n):
+    # one word per projective class marks the support of every nonzero
+    # codeword, whatever the blocks of the span engine and the lattice
+    rng = np.random.default_rng(q)
+    f = make_field(q)
+    for k in range(n + 1):
+        g = Matrix(f, rng.integers(0, q, size=(k, n), dtype=np.uint8))
+        code = LinearCode.from_generator(g)
+        want = {int(sum(1 << j for j in np.flatnonzero(w)))
+                for w in enumerate_codewords(code)} - {0}
+        for chunk, span in ((1, 1), (8, 4), (_bits.LATTICE_CHUNK,
+                                             linalg.SPAN_BLOCK)):
+            with lattice_chunk(chunk), \
+                    mock.patch.object(linalg, "SPAN_BLOCK", span):
+                words = erasure._codeword_supports(code)
+            got = {64 * i + b for i, word in enumerate(words.tolist())
+                   for b in range(64) if word >> b & 1}
+            assert got == want
+
+
 def _pack_lattice(marks, n):
     """marks (one truth value per subset) as uint64 words, bit s of word i
     for subset 64 i + s."""
@@ -553,17 +575,22 @@ def _submasks(s):
 
 
 @pytest.mark.parametrize("chunk", [1, 8, _bits.LATTICE_CHUNK])
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", range(15))
 def test_packed_closure_and_count_match_brute_force(n, chunk):
+    # n = 11..14 are counted only: a whole lattice chunk then indexes up to
+    # 2^8 words by popcount, and the 3^n submasks would be slow
     rng = np.random.default_rng(n)
-    for density in (3 / 2 ** n, 0.3):
+    for density in (3 / 2 ** n, 0.3, 1):
         marks = (rng.random(2 ** n) < density).tolist()
-        closed = [any(marks[t] for t in _submasks(s)) for s in range(2 ** n)]
         words = _pack_lattice(marks, n)
         with lattice_chunk(chunk):
             assert _bits.count_by_popcount(words, n) == [
                 sum(m for s, m in enumerate(marks) if s.bit_count() == w)
                 for w in range(n + 1)]
+        if n > 10:
+            continue
+        closed = [any(marks[t] for t in _submasks(s)) for s in range(2 ** n)]
+        with lattice_chunk(chunk):
             _bits.up_close(words, n)
             assert words.tolist() == _pack_lattice(closed, n).tolist()
             assert _bits.count_by_popcount(words, n) == [

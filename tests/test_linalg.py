@@ -1,3 +1,4 @@
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -323,12 +324,19 @@ def test_span_engine_matches_reference(basis, block):
     gen = code.generator.data.tolist()
     with mock.patch.object(linalg, "SPAN_BLOCK", block):
         raw = np.concatenate(list(_enumerate_combinations(f, data)))
+        lead = list(_enumerate_combinations(f, data, projective=True))
         words = [tuple(w) for w in enumerate_codewords(code)]
         dual = dual_codewords(code, include_zero=True).tolist()
         hstar = full_dual_pcm(code).data.tolist()
     zero = [(0,) * n]
     assert [tuple(w) for w in raw.tolist()] == (
         ref_codewords(rows, q) if rows else zero)
+    # projective: the combinations whose first nonzero coefficient is 1,
+    # with multiplicity if the rows are dependent
+    assert sorted(tuple(w) for b in lead for w in b.tolist()) == sorted(
+        w for c, w in zip(product(range(q), repeat=len(rows)),
+                          ref_codewords(rows, q))
+        if any(c) and next(x for x in c if x) == 1)
     assert words == (ref_codewords(gen, q) if gen else zero)
     want = ref_dual_codewords(rows, q, n)
     assert [tuple(w) for w in dual] == want
