@@ -180,6 +180,12 @@ def layers() -> dict:
         "rank mds-rs13": (lambda: stopred.rank(mds_rs13), 1, int),
         # a new code each run: the distance is cached on the code
         "min_distance rs13": (lambda: code_of(rs13).min_distance(), 1, int),
+        # H*: every projective dual class, 4095 binary rows and 364
+        # ternary ones
+        "full_dual_pcm h24": (lambda: construct.full_dual_pcm(h24_code), 1,
+                              digest),
+        "full_dual_pcm h12": (lambda: construct.full_dual_pcm(h12_code), 1,
+                              digest),
         "dual_codewords h24": (
             lambda: stopred.dual_codewords(code_of(h24)), 1,
             lambda w: hashlib.sha256(w.tobytes()).hexdigest()),

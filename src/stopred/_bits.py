@@ -9,9 +9,8 @@ cross it only here: positions to a mask by `positions_mask`, the one
 checked boundary for positions given by a caller, and back by
 `mask_to_positions`; truth rows to words by `pack_words`, back by
 `unpack_words`; words to ints by `words_to_ints`; truth rows to ints and
-back by `pack_rows` and `unpack_rows`; and the masks of a weight from
-`weight_levels`, one level after another, or `weight_masks` and
-`weight_masks_upto`.
+back by `pack_rows` and `unpack_rows`; and the masks of each weight from
+`weight_levels`, one level after another, or of one from `weight_masks`.
 
 A family of sets can also be stored bit-sliced (`bit_planes`): plane j is a
 packed bitset over the sets, marking those that contain j.  `meet_once`
@@ -95,14 +94,14 @@ def up_close(words: np.ndarray, n: int) -> np.ndarray:
 def _index_order(chunk: int) -> Tuple[np.ndarray, Tuple[int, ...],
                                       np.ndarray]:
     """(order, starts, weights) for a lattice chunk of `chunk` words, a
-    power of two: the word indices sorted by popcount, in the smallest
-    unsigned dtype that holds them (128 KiB at LATTICE_CHUNK); where each
-    run of index popcount g = 0..log2(chunk) starts in that order; and
-    weights[j, g] = j + g, the weight of a subset of low weight j in run
-    g.  The arrays are read-only."""
+    power of two: the word indices sorted by popcount, that is the weight
+    levels of log2(chunk) bits, in the smallest unsigned dtype that holds
+    them (128 KiB at LATTICE_CHUNK); where each run of index popcount
+    g = 0..log2(chunk) starts in that order; and weights[j, g] = j + g,
+    the weight of a subset of low weight j in run g.  Read-only."""
     bits = chunk.bit_length() - 1
-    order = np.bitwise_count(np.arange(chunk, dtype=np.uint64)).argsort(
-        kind="stable").astype(np.min_scalar_type(chunk - 1))
+    order = np.concatenate(list(weight_levels(
+        bits, bits, np.min_scalar_type(chunk - 1))))
     starts = tuple(accumulate((comb(bits, g) for g in range(bits)),
                               initial=0))
     weights = np.add.outer(np.arange(7), np.arange(bits + 1))
@@ -265,16 +264,6 @@ def weight_levels(n: int, w_max: int, dt: np.dtype) -> Iterator[np.ndarray]:
             at += size
         level = heavier
         yield level
-
-
-def weight_masks_upto(n: int, w_max: int, dtype=None) -> List[np.ndarray]:
-    """All bitmasks over n bits of each weight 0..w_max, one array per
-    weight, each ascending (= colex order on subsets).  Memory is the
-    caller's concern: the total length is sum(C(n, w) for w <= w_max).
-    dtype defaults to mask_dtype(n); `object` gives Python ints of any width.
-    """
-    return list(weight_levels(
-        n, w_max, mask_dtype(n) if dtype is None else np.dtype(dtype)))
 
 
 def weight_masks(n: int, w: int) -> np.ndarray:

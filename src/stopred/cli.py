@@ -207,8 +207,10 @@ def _cmd_mindist(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.n is not None or args.k is not None:
-        if not (args.mds and args.n is not None and args.k is not None):
+    if args.n is not None or args.k is not None or args.mds:
+        if args.file is not None or args.assets is not None:
+            raise ValueError("--n, --k and --mds take no --file or --assets")
+        if args.n is None or args.k is None or not args.mds:
             raise ValueError("parameter mode needs --n, --k and --mds together")
         entries = bounds_mod.mds_bounds(args.n, args.k)
     else:
@@ -242,8 +244,8 @@ def _cmd_construct(args) -> int:
                else construct.rm_stopping_pcm(args.r, args.m))
     elif kind == "directsum":
         h1 = _input_matrix(args)
-        if args.file2 is None and args.assets2 is None:
-            raise ValueError("directsum needs --file2 or --assets2")
+        if (args.file2 is None) == (args.assets2 is None):
+            raise ValueError("exactly one of --file2 or --assets2 is required")
         h2 = load_asset(args.assets2) if args.assets2 else read_matrix(args.file2)
         out = construct.direct_sum_pcm(h1, h2)
     else:

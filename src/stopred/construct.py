@@ -14,11 +14,12 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ._bits import (mask_to_positions, positions_mask, unpack_rows,
-                    weight_masks_upto)
+                    weight_levels)
 from .bounds import rm_row_count
 from .field import make_field
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _rank_gf2, _rref_stack, dual_codewords, rank)
+                     _enumerate_combinations, _rank_gf2, _rref_stack, rank,
+                     rref)
 
 
 SUPPORT_BLOCK = 1 << 18  # bytes of check rows reduced in one call
@@ -35,11 +36,14 @@ def full_dual_pcm(c: LinearCode) -> Matrix:
     fields one representative per projective class is kept (scalar
     multiples share a support, hence cover identically).  Rows are in
     lexicographic order; representatives are the lex-first of each class,
-    i.e. leading coefficient 1.
+    i.e. leading coefficient 1: the projective span of the reduced checks,
+    whose message order is lexicographic and whose lead symbol is the
+    first nonzero coefficient.
     """
-    words = dual_codewords(c, include_zero=False)
-    lead = words[np.arange(len(words)), np.argmax(words != 0, axis=1)]
-    return Matrix(c.field, words[lead == 1])
+    words = list(_enumerate_combinations(
+        c.field, rref(c.parity_check).data, projective=True))
+    return Matrix(c.field, np.concatenate(words) if words
+                  else np.zeros((0, c.n), dtype=np.uint8))
 
 
 def combination_pcm(h: Matrix, t_max: int) -> Matrix:
@@ -188,7 +192,7 @@ def _weight_supports(n: int, w: int) -> np.ndarray:
     colexicographic order (= ascending masks)."""
     if comb(n, w) > (1 << 22):
         raise EnumerationTooLargeError("C(n, d-2) exceeds the 2^22 guard")
-    return weight_masks_upto(n, w, object)[w]
+    return list(weight_levels(n, w, np.dtype(object)))[w]
 
 
 def _support_rows(c: LinearCode, supports: Sequence[int]) -> Matrix:

@@ -23,7 +23,7 @@ batches of any mix of weights (at most BATCH_WORDS words of bitsets; a
 shorter support reads the empty plane for its missing positions), counts
 each size with one `np.add.reduceat` over popcounts, and after each round
 rebuilds the planes over the sets still uncovered.  The exact search
-builds its cover table from the same kernel both ways round, since
+builds its cover table in one kernel pass and transposes it, since
 meeting in exactly one position is symmetric.
 """
 
@@ -37,8 +37,7 @@ from typing import List
 import numpy as np
 
 from ._bits import (bit_planes, mask_dtype, mask_to_positions, meet_once,
-                    support_positions, unpack_words, weight_masks_upto,
-                    words_to_ints)
+                    pack_rows, support_positions, unpack_words, weight_levels)
 from .construct import full_dual_pcm
 from .linalg import LinearCode, Matrix, rank
 from .stopping import stopping_distance
@@ -71,7 +70,7 @@ def greedy_construct(c: LinearCode) -> Matrix:
     weights = [m.bit_count() for m in masks]
     positions = support_positions(cand, n)
     # (i, the uncovered i-sets) for each size i = 1..d-1 with any left
-    uncovered = list(enumerate(weight_masks_upto(n, d - 1)[1:], start=1))
+    uncovered = list(enumerate(weight_levels(n, d - 1, mask_dtype(n))))[1:]
     planes, starts = bit_planes(n, [level for _, level in uncovered])
 
     def scores(batch: List[int]) -> List[int]:
@@ -152,14 +151,13 @@ def exact_stopping_redundancy(c: LinearCode,
     nodes = 0
 
     # the i-sets (i = 1..d-1) by size, then ascending; cover[ci] and
-    # coverers[si] pack "candidate ci covers set si" both ways, each as
-    # the kernel over the planes of the other family
-    sets = np.concatenate(weight_masks_upto(n, d - 1))[1:]
+    # coverers[si] pack "candidate ci covers set si" both ways, from one
+    # kernel pass over the planes of the sets and its transpose
+    sets = np.concatenate(list(weight_levels(n, d - 1, mask_dtype(n))))[1:]
     rows = np.array(classes.row_masks(), dtype=sets.dtype)
-    cover = words_to_ints(meet_once(bit_planes(n, [sets])[0],
-                                    support_positions(rows, n)))
-    coverers = words_to_ints(meet_once(bit_planes(n, [rows])[0],
-                                       support_positions(sets, n)))
+    table = unpack_words(meet_once(bit_planes(n, [sets])[0],
+                                   support_positions(rows, n)))[:, :len(sets)]
+    cover, coverers = pack_rows(table), pack_rows(table.T)
 
     def deficit(chosen: List[int]) -> int:
         """Rows still needed to span the dual after the chosen classes."""

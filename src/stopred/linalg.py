@@ -10,7 +10,9 @@ one.  One reduced form gives a matrix's row basis and, by `_kernel`, its
 nullspace.  Every codeword set comes from one span engine,
 `_enumerate_combinations`, which extends the span of a basis row by row
 with field adds; it also gives one word per projective class, the
-combinations whose first nonzero coefficient is 1.
+combinations whose first nonzero coefficient is 1: the words that
+`LinearCode.min_distance`, H* (`construct.full_dual_pcm`) and the ML
+lattice of `erasure` read, since a multiple has the same support.
 Ranks come from two elimination kernels that share one rule: a vector is
 reduced by the earlier basis vectors at their pivots.  `_rank_gf2` works on
 vectors packed into ints; it takes one mask or an array of masks, so the
@@ -328,22 +330,22 @@ class LinearCode:
                    _kernel(g.field, a, pivots))
 
     def min_distance(self) -> int:
-        """Minimum Hamming weight over nonzero codewords (cached)."""
+        """Minimum Hamming weight over nonzero codewords (cached), from one
+        word per projective class in ascending message index.  The witness,
+        the first minimum-weight word in message order, has leading
+        coefficient 1: λc with λ != 1 has a larger index than c."""
         if self._d is not None:
             return self._d
         if self.k == 0:
             raise ValueError("minimum distance undefined for the zero code")
-        best = None
-        witness = None
-        for block in _enumerate_combinations(self.field, self.generator.data):
+        best = self.n + 1
+        for block in _enumerate_combinations(self.field, self.generator.data,
+                                             projective=True):
             w = np.count_nonzero(block, axis=1)
-            w_pos = np.where(w == 0, self.n + 1, w)
-            i = int(np.argmin(w_pos))
-            if best is None or w_pos[i] < best:
-                best = int(w_pos[i])
-                witness = block[i].copy()
+            i = int(np.argmin(w))
+            if w[i] < best:
+                best, self._d_witness = int(w[i]), block[i].copy()
         self._d = best
-        self._d_witness = witness
         return best
 
     def min_weight_codeword(self) -> np.ndarray:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stopred._bits import (pack_words, positions_mask, weight_masks,
-                           weight_masks_upto)
+from stopred._bits import (_index_order, mask_dtype, pack_words,
+                           positions_mask, weight_levels, weight_masks)
 from stopred.cli import load_asset
 from stopred.erasure import iterative_decode, ml_decode
 from stopred.stopping import covers, is_stopping_set
@@ -15,7 +15,7 @@ from stopred.stopping import covers, is_stopping_set
 
 @pytest.mark.parametrize("n", range(0, 11))
 def test_weight_masks_are_every_subset_in_colex_order(n):
-    levels = weight_masks_upto(n, n)
+    levels = list(weight_levels(n, n, mask_dtype(n)))
     assert len(levels) == n + 1
     for w, level in enumerate(levels):
         want = sorted(combinations(range(n), w), key=lambda s: s[::-1])
@@ -24,11 +24,22 @@ def test_weight_masks_are_every_subset_in_colex_order(n):
     assert weight_masks(n, n + 1).size == weight_masks(n, -1).size == 0
 
 
-def test_weight_masks_upto_past_64_bits_are_ints():
-    levels = weight_masks_upto(70, 2, object)
+def test_weight_levels_past_64_bits_are_ints():
+    levels = list(weight_levels(70, 2, np.dtype(object)))
     assert levels[2].dtype == object and len(levels) == 3
     want = sorted(combinations(range(70), 2), key=lambda s: s[::-1])
     assert levels[2].tolist() == [(1 << a) | (1 << b) for a, b in want]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 64, 256, 1 << 16])
+def test_index_order_sorts_word_indices_by_popcount(chunk):
+    order, starts, weights = _index_order(chunk)
+    want = np.bitwise_count(np.arange(chunk, dtype=np.uint64)).argsort(
+        kind="stable").astype(np.min_scalar_type(chunk - 1))
+    assert order.dtype == want.dtype and np.array_equal(order, want)
+    popcounts = np.bitwise_count(order.astype(np.uint64))
+    assert [int(popcounts[s]) for s in starts] == list(range(len(starts)))
+    assert not order.flags.writeable and not weights.flags.writeable
 
 
 @pytest.mark.parametrize("cols", [0, 1, 63, 64, 65, 128, 130])

@@ -232,6 +232,29 @@ def test_missing_input_is_domain_error(capsys):
     assert code == 1 and "--file or --assets" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "directsum", "--assets", "h12", "--assets2", "h12",
+      "--file2", "/nonexistent"],
+     "exactly one of --file2 or --assets2 is required"),
+    (["construct", "directsum", "--assets", "h12"],
+     "exactly one of --file2 or --assets2 is required"),
+    (["bounds", "--n", "6", "--k", "3", "--mds", "--assets", "h24"],
+     "--n, --k and --mds take no --file or --assets"),
+    (["bounds", "--n", "6", "--k", "3", "--mds", "--file", "/nonexistent"],
+     "--n, --k and --mds take no --file or --assets"),
+    (["bounds", "--assets", "h24", "--mds"],
+     "--n, --k and --mds take no --file or --assets"),
+    (["bounds", "--mds"], "parameter mode needs --n, --k and --mds together"),
+    (["bounds", "--n", "6", "--k", "3"],
+     "parameter mode needs --n, --k and --mds together"),
+], ids=["directsum-both", "directsum-neither", "bounds-params-and-asset",
+        "bounds-params-and-file", "bounds-asset-and-mds", "bounds-mds-only",
+        "bounds-no-mds"])
+def test_conflicting_inputs_are_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
 def test_asset_header_counts():
     for name, text in ASSET_TEXT.items():
         m = parse_matrix_text(text)

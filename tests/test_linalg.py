@@ -328,6 +328,8 @@ def test_span_engine_matches_reference(basis, block):
         words = [tuple(w) for w in enumerate_codewords(code)]
         dual = dual_codewords(code, include_zero=True).tolist()
         hstar = full_dual_pcm(code).data.tolist()
+        if code.k:
+            d, witness = code.min_distance(), code.min_weight_codeword()
     zero = [(0,) * n]
     assert [tuple(w) for w in raw.tolist()] == (
         ref_codewords(rows, q) if rows else zero)
@@ -343,6 +345,12 @@ def test_span_engine_matches_reference(basis, block):
     assert all(a < b for a, b in zip(dual, dual[1:]))
     assert hstar == [list(w) for w in want[1:]
                      if next(x for x in w if x) == 1]
+    if code.k:
+        # the least nonzero weight, witnessed by its first word in message
+        # order
+        weights = [n - w.count(0) for w in words]
+        assert d == min(x for x in weights if x)
+        assert tuple(witness.tolist()) == words[weights.index(d)]
 
 
 def test_codewords_orthogonal_to_checks(golay12):
