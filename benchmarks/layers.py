@@ -211,6 +211,12 @@ def layers() -> dict:
         "greedy_construct h12": (
             lambda: stopred.greedy_construct(code_of(cli.load_asset("h12"))),
             1, digest),
+        # the [13, 10, 3] ternary Hamming code: 13 classes and 91 i-sets,
+        # a watch on greedy's fixed costs for tiny families
+        "greedy_construct th13": (
+            lambda: stopred.greedy_construct(code_of(Matrix(
+                field.make_field(3), np.array(points, dtype=np.uint8).T))),
+            1, digest),
         # RM(2,5): 65 535 dual classes against 4.5 M i-sets, 26 rows
         "greedy_construct rm25": (
             lambda: stopred.greedy_construct(rm25_code), 1, digest),

@@ -311,10 +311,24 @@ def _cmd_psi(args) -> int:
     return 0
 
 
+def _pgrid(text: str) -> List[float]:
+    """The erasure probabilities of `--pgrid`; blank entries are skipped."""
+    grid = []
+    for tok in filter(None, (tok.strip() for tok in text.split(","))):
+        try:
+            grid.append(float(tok))
+        except ValueError:
+            raise ValueError(f"--pgrid entry {tok!r} is not a number") \
+                from None
+    if not grid:
+        raise ValueError("--pgrid needs at least one erasure probability")
+    return grid
+
+
 def _cmd_curve(args) -> int:
+    grid = _pgrid(args.pgrid)
     with open(args.psi, "r", encoding="utf-8") as fh:
         profile = erasure.PsiProfile.from_csv(fh.read())
-    grid = [float(tok) for tok in args.pgrid.split(",") if tok.strip()]
     points = erasure.failure_curve(profile, grid)
     if args.format == "json":
         print(json.dumps([{"p": p, "prob": pr} for p, pr in points]))

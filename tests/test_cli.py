@@ -255,6 +255,22 @@ def test_conflicting_inputs_are_refused(capsys, argv, message):
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("", "--pgrid needs at least one erasure probability"),
+    (",", "--pgrid needs at least one erasure probability"),
+    (" , ,", "--pgrid needs at least one erasure probability"),
+    ("0.1,abc", "--pgrid entry 'abc' is not a number"),
+    ("0.1, 0x2 ,0.5", "--pgrid entry '0x2' is not a number"),
+], ids=["empty", "comma", "blanks", "word", "hex"])
+def test_bad_pgrid_is_refused(capsys, tmp_path, grid, message):
+    # the grid is read before the psi file, which is valid here anyway
+    path = tmp_path / "psi.csv"
+    path.write_text("w,count\n0,0\n1,1\n")
+    code, out, err = run_cli(capsys, "curve", "--psi", str(path),
+                             "--pgrid", grid)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
 def test_asset_header_counts():
     for name, text in ASSET_TEXT.items():
         m = parse_matrix_text(text)

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from reference import (ref_codewords, ref_greedy, ref_rank,
                        ref_stopping_distance)
-from stopred._bits import bit_planes, mask_dtype, meet_once, support_positions
+from stopred._bits import (bit_planes, mask_dtype, meet_once, support_positions,
+                           weight_levels)
 from stopred.cli import load_asset
-from stopred.construct import rm_generator
+from stopred.construct import full_dual_pcm, rm_generator
 from stopred.field import make_field
 from stopred import greedy
 from stopred.greedy import (RedundancyResult, exact_stopping_redundancy,
@@ -89,6 +90,86 @@ def test_greedy_batches_do_not_change_the_rows(checks, monkeypatch):
     monkeypatch.setattr(greedy, "BATCH_WORDS", 1)
     single = greedy_construct(code)
     assert np.array_equal(single.data, batched.data)
+
+
+@st.composite
+def scored_covers(draw):
+    """(q, n, check rows, picks): a small code and up to four picks of its
+    projective dual classes, each taken modulo the class count."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(2, {2: 9, 3: 7}.get(q, 6)))
+    m = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                  max_size=n), min_size=m, max_size=m))
+    picks = draw(st.lists(st.integers(0, 200), max_size=4))
+    return q, n, rows, picks
+
+
+# the [8, 4, 4] extended Hamming code; classes 14 (all ones), 0 (11110000)
+# and 13 (00001111) are nested and disjoint, so atoms are empty
+EH8_NESTED = (2, 8, rm_generator(1, 3).data.tolist(), [14, 0, 13, 1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(scored_covers())
+@example(EH8_NESTED)
+@example((2, 6, [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
+          [0, 2, 6]))
+def test_closed_scores_match_the_kernel(case):
+    # the closed form against meet_once over the planes of the uncovered
+    # sets, empty levels dropped as greedy drops them
+    q, n, rows, picks = case
+    code = LinearCode.from_parity_check(Matrix(make_field(q), rows))
+    assume(1 <= n - code.k < n)
+    d = code.min_distance()
+    masks = full_dual_pcm(code).row_masks()
+    chosen = list(dict.fromkeys(masks[p % len(masks)] for p in picks))
+    dt = mask_dtype(n)
+    cand = np.array(masks, dtype=dt)
+    levels = []
+    for i, level in list(enumerate(weight_levels(n, d - 1, dt)))[1:]:
+        for r in chosen:
+            level = level[np.bitwise_count(level & dt.type(r)) != 1]
+        if level.size:
+            levels.append((i, level))
+    want = np.zeros(len(masks), dtype=np.int64)
+    if levels:
+        planes, starts = bit_planes(n, [level for _, level in levels])
+        once = meet_once(planes, support_positions(cand, n))
+        met = np.add.reduceat(np.bitwise_count(once), starts, axis=1,
+                              dtype=np.int64)
+        want = met @ [i for i, _ in levels]
+    got = greedy._closed_scores(cand, chosen, n, d)
+    assert got.tolist() == want.tolist()
+    if chosen:
+        # the last row's change, added to the scores before it
+        step = greedy._closed_scores(cand, chosen, n, d,
+                                     start=1 << len(chosen) - 1)
+        before = greedy._closed_scores(cand, chosen[:-1], n, d)
+        assert (before + step).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("checks, rounds", [
+    (lambda: load_asset("h24"), 9),
+    (lambda: load_asset("h12"), 9),
+    (lambda: load_asset("hexacode"), None),
+    (lambda: rm_generator(1, 4), None),
+    (lambda: ternary_hamming13_checks(), None),
+], ids=["golay24", "h12", "hexacode", "eh16", "th13"])
+def test_greedy_closed_rounds_do_not_change_the_rows(checks, rounds,
+                                                     monkeypatch):
+    # every round in closed form (the first `rounds` where every round
+    # would sum 2^t subsets over 22-34 rows), against none after round 0
+    code = LinearCode.from_parity_check(checks())
+    default = greedy_construct(code)
+    monkeypatch.setattr(greedy, "_closed_form_cheaper",
+                        lambda t, words: rounds is None or t < rounds)
+    closed = greedy_construct(code)
+    monkeypatch.setattr(greedy, "_closed_form_cheaper",
+                        lambda t, words: False)
+    kernel = greedy_construct(code)
+    assert np.array_equal(closed.data, default.data)
+    assert np.array_equal(kernel.data, default.data)
 
 
 def test_greedy_deterministic(hexacode):
@@ -285,3 +366,16 @@ def test_greedy_respects_combined_lower_bound(golay24, hexacode):
     for code in (golay24, hexacode):
         h = greedy_construct(code)
         assert h.n_rows >= bounds_report(code).combined_lower
+
+
+def test_exact_search_skips_the_1_sets():
+    # GRS [7, 4, 4] over GF(7), 57 classes: rho = 9, the MDS lower bound.
+    # Covering the 1-sets too, which the span completion covers anyway,
+    # took 104 nodes
+    f = make_field(7)
+    code = LinearCode.from_generator(Matrix(
+        f, [[pow(x, i, 7) if i else 1 for x in range(7)] for i in range(4)]))
+    assert exact_stopping_redundancy(code, 100) == \
+        RedundancyResult(9, exact=True)
+    assert exact_stopping_redundancy(code, 99) == \
+        RedundancyResult(9, exact=False)
