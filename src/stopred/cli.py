@@ -1,8 +1,8 @@
 """Command-line front end, matrix file I/O, and embedded reference matrices.
 
 Matrix file format: a header line "q n" (field order, column count), then
-one whitespace-separated row of symbols per line.  GF(3) accepts "-" for
-the element 2 on input and always emits "2"; GF(4) uses symbols 0 1 w W.
+one whitespace-separated row of symbols, decimal element indices, per line.
+GF(3) accepts "-" for 2 on input and always emits "2"; GF(4) uses 0 1 w W.
 
 Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 """

@@ -191,7 +191,7 @@ def _weight_supports(n: int, w: int) -> np.ndarray:
     """The weight-w supports over n positions as int masks, in
     colexicographic order (= ascending masks)."""
     if comb(n, w) > (1 << 22):
-        raise EnumerationTooLargeError("C(n, d-2) exceeds the 2^22 guard")
+        raise EnumerationTooLargeError(f"C({n},{w}) exceeds the 2^22 guard")
     return list(weight_levels(n, w, np.dtype(object)))[w]
 
 

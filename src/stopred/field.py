@@ -1,11 +1,16 @@
-"""Arithmetic and symbol I/O for the small finite fields GF(p) and GF(4).
+"""Arithmetic and symbol I/O for the finite fields GF(q), q = p^m <= 256.
 
-Elements are plain ints in [0, q).  GF(4) uses the polynomial basis
-x^2 = x + 1 with elements ordered 0, 1, w, W (W = w + 1 = w^2), so addition
-is XOR of indices, as in GF(2).  Prime fields use ordinary modular
-arithmetic.  Complete add/mul/neg/inv tables are built once per field, as
-numpy arrays for vectorized code and as Python lists for per-symbol loops
-and the scalar ops.
+One routine builds every field.  An element's index holds its coefficients
+in the polynomial basis 1, x, ..., x^(m-1) as base-p digits, constant
+first.  Products are reduced modulo the first monic irreducible polynomial
+of degree m in index order: x for prime q, which gives the modular tables;
+x^2 + x + 1 for GF(4), x^3 + x + 1 for GF(8), x^2 + 1 for GF(9) and
+x^4 + x + 1 for GF(16).  Sums add digits mod p: XOR of indices for q = 2^m.
+Complete add/mul/neg/inv tables are built once per field, as numpy arrays
+for vectorized code and as Python lists for per-symbol loops and the
+scalar ops.  Symbols are the decimal indices, except that GF(4) writes its
+elements 0, 1, x, x + 1 as 0 1 w W (W = w + 1 = w^2); GF(3) also reads "-"
+for 2.
 """
 
 from __future__ import annotations
@@ -19,39 +24,18 @@ MAX_ORDER = 256
 
 
 class UnsupportedOrderError(ValueError):
-    """Requested field order is not prime and not 4, or exceeds the limit."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
-# GF(4) multiplication in the basis x^2 = x + 1, indices (0, 1, w, W).
-_GF4_MUL = np.array(
-    [[0, 0, 0, 0],
-     [0, 1, 2, 3],
-     [0, 2, 3, 1],
-     [0, 3, 1, 2]], dtype=np.uint8)
-
-_GF4_SYMBOLS = ("0", "1", "w", "W")
+    """Requested field order is not a prime power, or exceeds the limit."""
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A small finite field: order, kind, symbol alphabet, and op tables.
+    """GF(q), q = p^m: order, characteristic, symbol alphabet, op tables.
 
     Immutable after construction; safe for unrestricted concurrent reads.
     """
 
     q: int
-    kind: str  # "prime" | "gf4"
+    p: int  # the characteristic: the field is prime iff q == p
     symbols: tuple
     add_table: np.ndarray = dc_field(repr=False, compare=False)
     mul_table: np.ndarray = dc_field(repr=False, compare=False)
@@ -87,12 +71,15 @@ class FieldSpec:
     # in (any integer dtype, entries in [0, q)), uint8 arrays out.
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a + b.  A prime field adds, then subtracts q where the sum
-        reaches q: in wrapping unsigned arithmetic s - q exceeds s exactly
-        when s < q, so that is min(s, s - q).  The sum is uint16 for
-        q > 127, where it can pass 255."""
+        """a + b.  Over GF(2^m) that is XOR of indices.  A prime field
+        adds, then subtracts q where the sum reaches q: in wrapping unsigned
+        arithmetic s - q exceeds s exactly when s < q, so that is
+        min(s, s - q).  The sum is uint16 for q > 127, where it can pass
+        255.  Any other field reads the add table."""
         if self.q % 2 == 0:
             return np.bitwise_xor(a, b, dtype=np.uint8, casting="unsafe")
+        if self.q != self.p:
+            return self.add_table[a, b]
         s = np.add(a, b, dtype=np.uint16 if self.q > 127 else np.uint8,
                    casting="unsafe")
         np.minimum(s, s - self.q, out=s)
@@ -104,46 +91,57 @@ class FieldSpec:
         return self.mul_table[a, b]
 
     def __repr__(self) -> str:  # keep dataclass tables out of reprs
-        return f"FieldSpec(q={self.q}, kind={self.kind!r})"
+        return f"FieldSpec(q={self.q}, p={self.p})"
 
 
 @functools.lru_cache(maxsize=None)
 def make_field(q: int) -> FieldSpec:
-    """Build GF(q) for prime q <= 256 or q = 4.
+    """Build GF(q) for a prime power q <= 256.
 
     Raises UnsupportedOrderError for any other order.
     """
-    if q == 4:
-        add = np.bitwise_xor.outer(np.arange(4, dtype=np.uint8),
-                                   np.arange(4, dtype=np.uint8))
-        mul = _GF4_MUL.copy()
-        neg = np.arange(4, dtype=np.uint8)  # characteristic 2
-        inv = np.array([0, 1, 3, 2], dtype=np.uint8)  # w * W = 1
-        return FieldSpec(4, "gf4", _GF4_SYMBOLS, add, mul, neg, inv)
-    if not _is_prime(q) or q > MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"unsupported field order {q}: need a prime <= {MAX_ORDER} or 4")
-    idx = np.arange(q, dtype=np.int64)
-    add = ((idx[:, None] + idx[None, :]) % q).astype(np.uint8)
-    mul = ((idx[:, None] * idx[None, :]) % q).astype(np.uint8)
-    neg = ((-idx) % q).astype(np.uint8)
-    inv = np.zeros(q, dtype=np.uint8)
-    for a in range(1, q):
-        inv[a] = pow(a, q - 2, q)
-    symbols = tuple(str(i) for i in range(q))
-    return FieldSpec(q, "prime", symbols, add, mul, neg, inv)
+    p = next((d for d in range(2, MAX_ORDER + 1) if q % d == 0), q)
+    m = 1
+    while p ** m < q:
+        m += 1
+    if not 1 < q == p ** m <= MAX_ORDER:
+        raise UnsupportedOrderError(f"unsupported field order {q}: "
+                                    f"need a prime power <= {MAX_ORDER}")
+    place = p ** np.arange(m)
+    digits = np.arange(q)[:, None] // place % p  # digits[a, j]: a's x^j
+    for low in digits:  # the moduli x^m + low, in index order
+        # times[j]: the digits of a * x^j for every a; x moves each digit
+        # up one place, and x^m = -low
+        shift = np.eye(m, k=1, dtype=np.int64)
+        shift[-1] -= low
+        times = np.stack([digits @ np.linalg.matrix_power(shift, j) % p
+                          for j in range(m)]).reshape(m, -1)
+
+        def product(b):  # a * b for every a, as a (len(b), q) array
+            return (b @ times).reshape(len(b), q, m) % p @ place
+
+        # a reducible modulus is some g h with 1 <= deg g <= m/2, and then
+        # g h = 0: so only the elements of degree <= m/2 need a test
+        if product(digits[1:p ** (m // 2 + 1)])[:, 1:].all():
+            break
+    add = ((digits[:, None] + digits) % p @ place).astype(np.uint8)
+    mul = product(digits).astype(np.uint8)
+    neg = (add == 0).argmax(1).astype(np.uint8)
+    inv = (mul == 1).argmax(1).astype(np.uint8)  # 0 for 0: no 1 in row 0
+    symbols = ("0", "1", "w", "W") if q == 4 else tuple(map(str, range(q)))
+    return FieldSpec(q, p, symbols, add, mul, neg, inv)
 
 
 def parse_symbol(f: FieldSpec, s: str) -> int:
     """Map a display symbol to an element index.
 
-    Prime fields read the decimal index in ASCII digits only (no sign,
-    underscore or other script); GF(3) additionally accepts "-" for the
-    element 2; GF(4) reads one of 0, 1, w, W.
+    Fields read the decimal index in ASCII digits only (no sign, underscore
+    or other script); GF(3) additionally accepts "-" for the element 2;
+    GF(4) reads one of 0, 1, w, W instead.
     """
-    if f.kind == "gf4":
+    if f.q == 4:
         try:
-            return _GF4_SYMBOLS.index(s)
+            return f.symbols.index(s)
         except ValueError:
             raise ValueError(f"{s!r} is not a GF(4) symbol (0, 1, w, W)") from None
     if f.q == 3 and s == "-":

@@ -207,8 +207,9 @@ def greedy_construct(c: LinearCode) -> Matrix:
     """Greedy coverage construction; returns a matrix with s = d(C)."""
     d = c.min_distance()
     n = c.n
-    if sum(comb(n, i) for i in range(1, d)) > UNIVERSE_GUARD:
-        raise ValueError("tracked i-set universe exceeds the 2^24 guard")
+    sets = sum(comb(n, i) for i in range(1, d))
+    if sets > UNIVERSE_GUARD:
+        raise ValueError(f"{sets} i-sets of size < d exceed the 2^24 guard")
     classes = full_dual_pcm(c)
     masks = classes.row_masks()
     dt = mask_dtype(n)

@@ -116,12 +116,13 @@ class Matrix:
 
 
 def mat_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the field (plain ndarray in, ndarray out)."""
-    if field.kind == "prime":
+    """Matrix product over the field (plain ndarray in, ndarray out); for
+    q not prime, a sum of outer products through the field's tables."""
+    if field.q == field.p:
         return (a.astype(np.int64) @ b.astype(np.int64)) % field.q
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
     for j in range(a.shape[1]):
-        acc ^= field.mul_arr(a[:, j][:, None], b[j][None, :])
+        acc = field.add_arr(acc, field.mul_arr(a[:, j][:, None], b[j]))
     return acc
 
 

@@ -6,7 +6,8 @@ Everything here is written directly from definitions with plain Python
 
 from itertools import combinations, product
 
-# GF(4) in the basis x^2 = x + 1, elements ordered 0, 1, w, w+1.
+# GF(4) in the basis x^2 = x + 1, elements ordered 0, 1, w, w+1, written
+# out as a table: the polynomial arithmetic below must give the same.
 GF4_MUL = [
     [0, 0, 0, 0],
     [0, 1, 2, 3],
@@ -14,17 +15,71 @@ GF4_MUL = [
     [0, 3, 1, 2],
 ]
 
+# Extension fields in the polynomial basis: element index sum(c_i p^i)
+# holds the coefficient c_i of x^i.  Each entry is (p, the lower
+# coefficients of the irreducible modulus x^m + ..., constant first):
+# x^2 + x + 1, x^3 + x + 1, x^2 + 1 and x^4 + x + 1.
+EXTENSIONS = {4: (2, [1, 1]), 8: (2, [1, 1, 0]), 9: (3, [1, 0]),
+              16: (2, [1, 1, 0, 0])}
+
+
+def poly_digits(q, a):
+    p, low = EXTENSIONS[q]
+    return [a // p ** i % p for i in range(len(low))]
+
+
+def poly_index(q, coeffs):
+    p = EXTENSIONS[q][0]
+    return sum(c % p * p ** i for i, c in enumerate(coeffs))
+
+
+def poly_add(q, a, b):
+    return poly_index(q, [x + y for x, y in zip(poly_digits(q, a),
+                                                poly_digits(q, b))])
+
+
+def poly_mul(q, a, b):
+    """Schoolbook product of the two polynomials, then each term x^t with
+    t >= m replaced by x^(t-m) times x^m = -(c_0 + c_1 x + ...)."""
+    p, low = EXTENSIONS[q]
+    m = len(low)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(poly_digits(q, a)):
+        for j, y in enumerate(poly_digits(q, b)):
+            prod[i + j] += x * y
+    for t in range(2 * m - 2, m - 1, -1):
+        c, prod[t] = prod[t], 0
+        for j, coeff in enumerate(low):
+            prod[t - m + j] -= c * coeff
+    return poly_index(q, prod[:m])
+
+
+# the extension fields' tables, written out once from the polynomials: the
+# brute-force oracles below ask for the same sums and products many times
+ADD = {q: [[poly_add(q, a, b) for b in range(q)] for a in range(q)]
+       for q in EXTENSIONS}
+MUL = {q: [[poly_mul(q, a, b) for b in range(q)] for a in range(q)]
+       for q in EXTENSIONS}
+
 
 def f_add(q, a, b):
-    return a ^ b if q == 4 else (a + b) % q
+    return ADD[q][a][b] if q in ADD else (a + b) % q
 
 
 def f_mul(q, a, b):
-    return GF4_MUL[a][b] if q == 4 else (a * b) % q
+    return MUL[q][a][b] if q in MUL else (a * b) % q
 
 
 def f_neg(q, a):
-    return a if q == 4 else (-a) % q
+    return ADD[q][a].index(0) if q in ADD else (-a) % q
+
+
+def is_prime_power(q):
+    """q > 1 has one prime factor: divide out the least one, 1 is left."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def f_inv(q, a):
@@ -32,6 +87,19 @@ def f_inv(q, a):
         if f_mul(q, a, b) == 1:
             return b
     raise ZeroDivisionError
+
+
+def ref_mat_mul(a, b, q):
+    """Matrix product over GF(q), one dot product per entry."""
+    out = []
+    for row in a:
+        out.append([])
+        for col in zip(*b):
+            acc = 0
+            for x, y in zip(row, col):
+                acc = f_add(q, acc, f_mul(q, x, y))
+            out[-1].append(acc)
+    return out
 
 
 def ref_rank(rows, q):

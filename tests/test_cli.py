@@ -1,11 +1,13 @@
 import json
 import re
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import f_mul, is_prime_power, ref_stopping_distance
 from stopred import cli
 from stopred.cli import (ASSET_TEXT, build_parser, load_asset, main,
                          parse_matrix_text, render_matrix_text)
@@ -116,8 +118,7 @@ def test_assets_round_trip(capsys):
         assert stopping_distance(again).s == want_s
 
 
-SUPPORTED_ORDERS = [4] + [p for p in range(2, MAX_ORDER + 1)
-                          if all(p % f for f in range(2, p))]
+SUPPORTED_ORDERS = [q for q in range(2, MAX_ORDER + 1) if is_prime_power(q)]
 
 
 @st.composite
@@ -135,6 +136,7 @@ def text_matrices(draw):
 @example(Matrix(make_field(4), [[3]]))
 @example(Matrix(make_field(3), [[2, 0, 1, 2]]))
 @example(Matrix(make_field(251), [[250], [0], [17]]))
+@example(Matrix(make_field(256), [[255, 0, 27]]))
 def test_matrix_text_round_trip(m):
     assert parse_matrix_text(render_matrix_text(m)) == m
 
@@ -330,3 +332,44 @@ def test_truncated_psi_csv_is_refused(capsys, tmp_path):
     code, out, err = run_cli(capsys, "psi", "stop", "--file", str(path),
                              "--wmax", "2", "--format", "csv")
     assert code == 1 and out == "" and "weight 3" in err
+
+
+def _rs_check_rows(q, n, k):
+    """Vandermonde rows x^i, i < n - k, on the points 1..n over GF(q):
+    any n - k columns are independent, so the code is MDS."""
+    rows = [[1] * n]
+    for _ in range(n - k - 1):
+        rows.append([f_mul(q, x, point)
+                     for x, point in zip(rows[-1], range(1, n + 1))])
+    return rows
+
+
+@pytest.fixture
+def rs8_file(tmp_path):
+    rows = _rs_check_rows(8, 7, 3)
+    path = tmp_path / "rs8.mat"
+    path.write_text("8 7\n" + "".join(" ".join(map(str, r)) + "\n"
+                                      for r in rows))
+    return str(path), rows
+
+
+def test_gf8_reed_solomon_file(capsys, rs8_file):
+    path, rows = rs8_file
+    code, out, _ = run_cli(capsys, "mindist", "--file", path)
+    assert code == 0 and out == "5\n"
+    code, out, _ = run_cli(capsys, "psi", "ml", "--file", path,
+                           "--format", "csv")
+    # [7, 3, 5] is MDS: ML fails exactly on the patterns heavier than n - k
+    assert code == 0
+    assert out.splitlines() == ["w,count"] + [
+        f"{w},{comb(7, w) if w > 4 else 0}" for w in range(8)]
+    code, out, _ = run_cli(capsys, "sd", "--file", path)
+    assert code == 0 and out == f"{ref_stopping_distance(rows, 7)[0]}\n"
+
+
+def test_gf9_symbol_out_of_range_is_refused(capsys, tmp_path):
+    path = tmp_path / "bad9.mat"
+    path.write_text("9 3\n1 2 8\n0 9 1\n")
+    code, out, err = run_cli(capsys, "mindist", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: symbol '9' out of range for GF(9)\n"

@@ -510,3 +510,14 @@ def test_constructions_verify_full_stopping(code):
             builds.append(pruned_mds_pcm)
     for build in builds:
         assert verify_full_stopping(code, build(code)), build.__name__
+
+
+def test_weight_supports_guard_names_the_count():
+    # mds_pcm on a [40, 20, 21] code would ask for the C(40, 21) supports
+    # of weight n - d + 2 = 21
+    with pytest.raises(construct.EnumerationTooLargeError,
+                       match=r"^C\(40,21\) exceeds the 2\^22 guard$"):
+        construct._weight_supports(40, 21)
+    supports = construct._weight_supports(6, 3).tolist()
+    assert len(supports) == comb(6, 3) and supports == sorted(supports)
+    assert all(s.bit_count() == 3 for s in supports)

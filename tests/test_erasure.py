@@ -521,9 +521,10 @@ def test_psi_stop_lattice_matches_oracle_and_per_weight(h, chunk):
 # generators stay at q^k <= 169 codewords: the oracle re-enumerates the
 # code for every one of the 2^n patterns
 @settings(max_examples=100, deadline=None)
-@given(small_matrices({2: 6, 3: 3, 4: 3, 5: 3, 13: 2}), CHUNKS)
+@given(small_matrices({2: 6, 3: 3, 4: 3, 5: 3, 8: 2, 9: 2, 13: 2}), CHUNKS)
 # H gets a column led by 7, a symbol other than +-1, where -x and -1/x differ
 @example(Matrix(make_field(13), [[0, 3, 5, 0, 7]]), 8)
+@example(Matrix(make_field(9), [[1, 3, 5, 0, 7, 8], [0, 4, 8, 2, 6, 1]]), 1)
 def test_psi_ml_lattice_matches_oracle_and_per_weight(g, chunk):
     code = LinearCode.from_generator(g)
     rows, q = g.data.tolist(), g.field.q

@@ -179,9 +179,14 @@ def test_greedy_deterministic(hexacode):
 
 
 def test_greedy_universe_guard():
+    # the [30, 1, 30] repetition code: d is read off its one codeword, and
+    # its i-sets, i < 30, number 2^30 - 2; the guard fires before H* is
+    # enumerated (2^29 classes would trip the span engine's guard instead)
     huge = LinearCode.from_generator(
-        Matrix(make_field(2), np.eye(40, dtype=np.uint8)[:1]))
-    with pytest.raises(ValueError):
+        Matrix(make_field(2), np.ones((1, 30), dtype=np.uint8)))
+    assert huge.min_distance() == 30
+    with pytest.raises(ValueError, match=re.escape(
+            f"{2 ** 30 - 2} i-sets of size < d exceed the 2^24 guard")):
         greedy_construct(huge)
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (ref_codewords, ref_dual_codewords, ref_min_distance,
-                       ref_rank)
+from reference import (ref_codewords, ref_dual_codewords, ref_mat_mul,
+                       ref_min_distance, ref_rank)
 from stopred import linalg
 from stopred._bits import mask_dtype, mask_to_positions, pack_rows, pack_words
 from stopred.cli import load_asset
@@ -46,6 +46,21 @@ def test_rank_golay_matrices():
     assert ref_rank(hp24.data.tolist(), 2) == 12
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4, 8, 9, 13]).flatmap(lambda q: st.tuples(
+    st.just(q), st.integers(0, 4), st.integers(1, 4), st.integers(0, 4),
+    st.integers(0, 2**32 - 1))))
+def test_mat_mul_matches_reference(case):
+    # the int64 product mod q for prime q; outer products summed by XOR for
+    # q = 4, 8 and through the add table for q = 9
+    q, r, t, c, seed = case
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, q, (r, t)), rng.integers(0, q, (t, c))
+    got = mat_mul(make_field(q), a, b)
+    assert got.shape == (r, c)
+    assert got.tolist() == ref_mat_mul(a.tolist(), b.tolist(), q)
+
+
 def _low_rank(rng, f, m, n, t):
     """A random m x n matrix over f of rank at most t."""
     return mat_mul(f, rng.integers(0, f.q, size=(m, t)),
@@ -56,8 +71,8 @@ def _low_rank(rng, f, m, n, t):
 def rank_matrices(draw):
     """Small, tall (more rows than columns, so `rank` reduces the columns),
     wide (more than 64 columns), zero-row or m x 0 matrices over GF(q),
-    q in {2, 3, 4, 5, 13}, of a drawn rank bound."""
-    f = make_field(draw(st.sampled_from([2, 3, 4, 5, 13])))
+    q in {2, 3, 4, 5, 8, 9, 13}, of a drawn rank bound."""
+    f = make_field(draw(st.sampled_from([2, 3, 4, 5, 8, 9, 13])))
     m, n = draw(st.one_of(
         st.tuples(st.integers(1, 11), st.integers(1, 11)),
         st.integers(1, 30).flatmap(
@@ -72,10 +87,10 @@ def rank_matrices(draw):
 
 @st.composite
 def matrix_stacks(draw):
-    """(field, (B, m, n) stack) over GF(q), q in {2, 3, 4, 5, 13, 251}: each
-    matrix of its own drawn rank, with some columns zeroed and one row
+    """(field, (B, m, n) stack) over GF(q), q in {2, 3, 4, 5, 8, 9, 13, 251}:
+    each matrix of its own drawn rank, with some columns zeroed and one row
     repeated; widths up to 10 or above 64, and B from 0 to 4."""
-    f = make_field(draw(st.sampled_from([2, 3, 4, 5, 13, 251])))
+    f = make_field(draw(st.sampled_from([2, 3, 4, 5, 8, 9, 13, 251])))
     count = draw(st.integers(0, 4))
     m = draw(st.integers(0, 7))
     n = draw(st.one_of(st.integers(1, 10), st.integers(65, 80)))
@@ -162,10 +177,10 @@ def test_rank_invariant_under_row_ops(q):
 
 @st.composite
 def field_matrices(draw):
-    """A matrix over GF(q), q in {2, 3, 4}: zero-row, full-rank (an
+    """A matrix over GF(q), q in {2, 3, 4, 8, 9}: zero-row, full-rank (an
     identity block among random columns), wide (more than 64 columns) or
     small, the last two of a drawn rank bound."""
-    f = make_field(draw(st.sampled_from([2, 3, 4])))
+    f = make_field(draw(st.sampled_from([2, 3, 4, 8, 9])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["zero-row", "full-rank", "wide", "small"]))
     if kind == "zero-row":
@@ -272,7 +287,7 @@ def test_min_distance_zero_code(gf2):
 
 def test_min_distance_matches_oracle():
     rng = np.random.default_rng(11)
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 8, 9):
         f = make_field(q)
         for _ in range(10):
             k, n = int(rng.integers(1, 4)), int(rng.integers(3, 8))
@@ -301,10 +316,11 @@ def test_enumerate_codewords_counts(hexacode, hamming74):
 
 @st.composite
 def generator_bases(draw):
-    """(q, n, rows): k = 0..n random rows over GF(2), GF(3) or GF(4), in no
-    particular form and possibly dependent."""
-    q = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, 6))
+    """(q, n, rows): k = 0..n random rows over GF(2), GF(3), GF(4), GF(8)
+    or GF(9), in no particular form and possibly dependent.  The reference
+    enumerates all q^n words for the dual, so n <= 4 over GF(8) and GF(9)."""
+    q = draw(st.sampled_from([2, 3, 4, 8, 9]))
+    n = draw(st.integers(1, 6 if q <= 4 else 4))
     k = draw(st.integers(0, n))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
                                   max_size=n), min_size=k, max_size=k))
@@ -313,6 +329,7 @@ def generator_bases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(generator_bases(), st.sampled_from([1, 8, linalg.SPAN_BLOCK]))
+@example((9, 4, [[1, 2, 3, 4], [0, 5, 6, 7], [3, 0, 8, 1]]), 8)
 def test_span_engine_matches_reference(basis, block):
     # SPAN_BLOCK = 1 or 8 leaves high rows, whose combinations are added to
     # the low block one by one; the code's parity check is a nullspace basis,

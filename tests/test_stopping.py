@@ -156,10 +156,11 @@ def test_cap_semantics():
 @st.composite
 def oracle_cases(draw):
     """Small matrices, half of them row-heavy (every projective class of a
-    random row space), with an optional cap."""
-    q = draw(st.sampled_from([2, 3, 4]))
+    random row space, at most 91 over GF(8) and GF(9)), with an optional
+    cap."""
+    q = draw(st.sampled_from([2, 3, 4, 8, 9]))
     n = draw(st.integers(1, 8))
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4 if q <= 4 else 3))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
                                   max_size=n), min_size=m, max_size=m))
     h = Matrix(make_field(q), np.array(rows, dtype=np.uint8))
