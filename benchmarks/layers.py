@@ -109,6 +109,7 @@ def layers() -> dict:
     hstar_text = cli.render_matrix_text(hstar)
     rm25_code = code_of(construct.rm_generator(2, 5))  # [32, 16, 8]
     rm25_code.min_distance()
+    rm25_checks = construct.rm_stopping_pcm(2, 5)
     # a seeded n = 24 subset lattice, one bit per subset, about half set
     lattice24 = np.random.default_rng(0).integers(
         0, 2 ** 64, size=1 << 18, dtype=np.uint64)
@@ -204,6 +205,15 @@ def layers() -> dict:
             lambda r: [r.s, r.at_least]),
         "stopping_distance rm37-gen cap=8": (
             lambda: stopred.stopping_distance(rm37, cap=8), 1,
+            lambda r: [r.s, r.at_least]),
+        # the RM(2,5) stopping rows, s = 8 at n = 32: uncapped, 2^32
+        # subsets go to the branch-and-bound; cap 8 is the scan that
+        # `psi stop --wmax 7` runs on them
+        "stopping_distance rm25-checks": (
+            lambda: stopred.stopping_distance(rm25_checks), 1,
+            lambda r: [r.s, list(r.witness)]),
+        "stopping_distance rm25-checks cap=8": (
+            lambda: stopred.stopping_distance(rm25_checks, cap=8), 1,
             lambda r: [r.s, r.at_least]),
         "greedy_construct golay24": (
             lambda: stopred.greedy_construct(code_of(h24)), 1, digest),

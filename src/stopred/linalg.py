@@ -116,10 +116,11 @@ class Matrix:
 
 
 def mat_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the field (plain ndarray in, ndarray out); for
-    q not prime, a sum of outer products through the field's tables."""
+    """Matrix product over the field (plain ndarray in, uint8 ndarray out);
+    for q not prime, a sum of outer products through the field's tables."""
     if field.q == field.p:
-        return (a.astype(np.int64) @ b.astype(np.int64)) % field.q
+        return ((a.astype(np.int64) @ b.astype(np.int64))
+                % field.q).astype(np.uint8)
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
     for j in range(a.shape[1]):
         acc = field.add_arr(acc, field.mul_arr(a[:, j][:, None], b[j]))

@@ -29,8 +29,11 @@ so each size stores at most the children of one block.  A block is sized
 so that each (nodes, rows, W) array holds _CHUNK >> 4 words.  Roots go by
 descending column degree, ties by index, and a node branches on the
 violated row with the fewest allowed columns, ties to the lower row, so
-the tree depends on the column and row order only through ties.  The
-search is output-sensitive but exponential in the worst case.
+the tree depends on the column and row order only through ties.  A node
+one column short of the best size settles its children in closed form:
+one AND over its violated rows gives the columns that make a stopping set,
+the same stopping children its subtree holds.  The search is
+output-sensitive but exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -188,7 +191,11 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
     one child.  Every minimum stopping set is reached, because a node is
     pruned only when its size plus the greedy disjoint-row bound exceeds
     the best size so far (at first, limit); so the row order shapes the
-    tree through ties, but not the answer.
+    tree through ties, but not the answer.  A node of size best - 1 only
+    matters through its stopping children, and cur | c stops iff c lies
+    in every violated row and in no row cur misses; with c outside cur
+    and banned, these are the stopping sets among the children that the
+    branching rule would make, so the closed form reports the same sets.
     """
     m, width = rows.shape
     bits = 64 * width
@@ -211,12 +218,24 @@ def _bnb_min_stopping(rows: np.ndarray, n: int,
         cur, banned = _take(frontier[size], block)
         if not frontier[size]:
             del frontier[size]
-        # one entry per violated (node, row) pair, node by node
-        node, row = np.divmod(np.flatnonzero(
-            np.bitwise_count(rows & cur[:, None]).sum(-1) == 1), m)
+        # each row's meet count with each node (uint16 is exact below 1024
+        # words); one entry per violated (node, row) pair, node by node
+        meets = np.bitwise_count(rows & cur[:, None]).sum(-1, dtype=np.uint16)
+        node, row = np.divmod(np.flatnonzero(meets == 1), m)
         per_node = np.bincount(node, minlength=len(cur))
         done = per_node == 0
 
+        if size == best - 1 and not done.any():
+            # the stopping children, in closed form, replace the block as
+            # finished nodes one size deeper
+            closed = np.bitwise_and.reduceat(
+                rows[row], np.cumsum(per_node) - per_node) & ~(cur | banned)
+            hit = np.flatnonzero(closed.any(1))
+            missed = np.where((meets[hit] == 0)[..., None], rows, 0)
+            closed = closed[hit] & ~np.bitwise_or.reduce(missed, axis=1)
+            node, col = np.divmod(np.flatnonzero(unpack_words(closed)), bits)
+            cur, size = cur[hit[node]] | single[col], best
+            done = np.ones(len(cur), dtype=bool)
         if done.any():
             found = cur[done]
             if witness is not None and size == best:

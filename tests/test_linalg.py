@@ -52,19 +52,20 @@ def test_rank_golay_matrices():
     st.integers(0, 2**32 - 1))))
 def test_mat_mul_matches_reference(case):
     # the int64 product mod q for prime q; outer products summed by XOR for
-    # q = 4, 8 and through the add table for q = 9
+    # q = 4, 8 and through the add table for q = 9; uint8 for every field
     q, r, t, c, seed = case
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, q, (r, t)), rng.integers(0, q, (t, c))
     got = mat_mul(make_field(q), a, b)
     assert got.shape == (r, c)
+    assert got.dtype == np.uint8
     assert got.tolist() == ref_mat_mul(a.tolist(), b.tolist(), q)
 
 
 def _low_rank(rng, f, m, n, t):
     """A random m x n matrix over f of rank at most t."""
     return mat_mul(f, rng.integers(0, f.q, size=(m, t)),
-                   rng.integers(0, f.q, size=(t, n))).astype(np.uint8)
+                   rng.integers(0, f.q, size=(t, n)))
 
 
 @st.composite

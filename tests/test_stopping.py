@@ -275,7 +275,7 @@ def test_bnb_two_word_tree_rm_generator_3_7():
     report, nodes = _bnb_nodes(h, cap=8)
     assert report == StoppingReport(5, (56, 88, 104, 112, 120))
     assert is_stopping_set(h, report.witness)
-    assert nodes == 125058
+    assert nodes == 39377
 
 
 def test_bnb_exhausts_permuted_rm26_stopping_rows():
@@ -285,7 +285,41 @@ def test_bnb_exhausts_permuted_rm26_stopping_rows():
     h = Matrix(checks.field, checks.data[
         :, np.random.default_rng(0).permutation(checks.n_cols)])
     assert _bnb_nodes(h, cap=8) == (StoppingReport(8, None, at_least=True),
-                                   161618)
+                                   152090)
+
+
+@pytest.mark.parametrize("seed, witness", [
+    (0, (0, 1, 2, 3, 7, 20, 23, 27)),
+    (1, (0, 1, 2, 3, 4, 11, 13, 20)),
+    (2, (0, 1, 2, 3, 7, 13, 19, 28))])
+def test_rm25_stopping_rows_agree_across_engines(seed, witness):
+    # uncapped, the 2^32 subsets of n = 32 go to the branch-and-bound, whose
+    # last column is settled in closed form; cap 9 leaves 15 033 173
+    # subsets, within the scan's budget
+    checks = rm_stopping_pcm(2, 5)
+    h = Matrix(checks.field, checks.data[
+        :, np.random.default_rng(seed).permutation(checks.n_cols)])
+    # each of the 1356 stopping sets of size 8 (an exhaustive count) is a
+    # distinct node of the tree, so it reaches the incumbent once; a call
+    # after the first may carry the last winner in its first row
+    found, lex_first = [], stopping._lex_first
+
+    def spy(sets):
+        rows = [tuple(r) for r in sets.tolist()]
+        if found and rows[0] == found[-1][1]:
+            rows = rows[1:]
+        i = lex_first(sets)
+        found.append((rows, tuple(sets[i].tolist())))
+        return i
+    with mock.patch.object(stopping, "_lex_first", spy):
+        bnb, _ = _bnb_nodes(h, cap=None)
+    assert bnb == StoppingReport(8, witness)
+    sets = [r for rows, _ in found for r in rows]
+    assert len(sets) == len(set(sets)) == 1356
+    assert is_stopping_set(h, witness)
+    with mock.patch.object(stopping, "_bnb_min_stopping",
+                           side_effect=AssertionError):
+        assert stopping_distance(h, cap=9) == bnb
 
 
 @pytest.mark.parametrize("n", [64, 65])
