@@ -19,13 +19,14 @@ runs while `_closed_form_cheaper` holds: while the subsets that hold the
 newest row have at most 64 terms per word of uncovered sets (measured).
 The uncovered sets are kept as masks, filtered by each adjoined row.
 
-Then a lazy priority queue takes over, seeded with the last exact
-scores.  Scores only decrease as coverage grows, so those bound the next
-round's from above, and only the few candidates that can still be
-maximal are rescored.  Both phases pick the first candidate of maximal
-score (an argmax over exact scores, or the top of a heap ordered by
-score, then index), so the rows are those of rescoring everything each
-round, whatever the round at which the phases switch.
+Then the kernel rescores lazily.  Scores only decrease as coverage
+grows, so the last exact scores bound the next round's from above, and
+one array holds a score or a bound per candidate.  Each kernel round
+sorts it, bound descending then index ascending, and rescores in that
+order until no bound left can beat the best fresh score or tie it at a
+lower index.  Both phases then take the argmax of the array, the first
+candidate of maximal score, so the rows are those of rescoring
+everything each round, whatever the round at which the phases switch.
 
 Rescoring and the exact search read coverage off one kernel,
 `_bits.meet_once`.  The sets are stored bit-sliced: plane j is a packed
@@ -33,10 +34,10 @@ uint64 bitset over the sets that contain j, each size starting on a word
 boundary.  For a support c, two accumulators run over the planes of c
 (`twice |= once & p; once ^= p`), and `once & ~twice` marks the sets c
 meets exactly once, 64 sets per word operation.  Greedy builds the planes
-when the queue takes over, rescores the stale top of its queue in
-batches of any mix of weights (at most BATCH_WORDS words of bitsets; a
-shorter support reads the empty plane for its missing positions), counts
-each size with one `np.add.reduceat` over popcounts, and after each round
+when the kernel takes over, rescores its sorted candidates in batches of
+any mix of weights (at most BATCH_WORDS words of bitsets; a shorter
+support reads the empty plane for its missing positions), counts each
+size with one `np.add.reduceat` over popcounts, and after each round
 rebuilds the planes over the sets still uncovered.  The exact search
 builds its cover table in one kernel pass and transposes it, since
 meeting in exactly one position is symmetric.
@@ -44,7 +45,6 @@ meeting in exactly one position is symmetric.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -217,69 +217,49 @@ def greedy_construct(c: LinearCode) -> Matrix:
     # (i, the uncovered i-sets) for each size i = 1..d-1 with any left
     uncovered = list(enumerate(weight_levels(n, d - 1, dt)))[1:]
     chosen: List[int] = []
-
-    def adjoin(idx: int) -> None:
-        nonlocal uncovered
+    positions = support_positions(cand, n)
+    # exact scores while the closed form runs, upper bounds once the kernel
+    # has taken over (scores only fall as coverage grows); a chosen
+    # candidate holds -1
+    score = _closed_scores(cand, [], n, d)
+    closed = True
+    while uncovered:
+        if not closed:
+            # rescore in batches, bound descending then index ascending,
+            # until the next bound can neither beat the best fresh score
+            # nor tie it at a lower index: the key ascends along the order,
+            # so that is one comparison with the least fresh key
+            order = np.argsort(-score, kind="stable")
+            key = order - score[order] * len(cand)
+            cap = max(BATCH_WORDS // planes.shape[1], 1)
+            best = len(cand)  # above the key of every candidate not chosen
+            for lo in range(0, len(order), cap):
+                if key[lo] > best:
+                    break
+                batch = order[lo:lo + cap]
+                width = np.bitwise_count(cand[batch]).max()
+                once = meet_once(planes, positions[batch, :width])
+                met = np.add.reduceat(np.bitwise_count(once), starts, axis=1,
+                                      dtype=np.int64)
+                score[batch] = met @ [i for i, _ in uncovered]
+                best = min(best, (batch - score[batch] * len(cand)).min())
+        # the first candidate of maximal score: any bound not rescored is
+        # below its score, or ties it at a higher index
+        idx = int(np.argmax(score))
+        if score[idx] <= 0:
+            raise ValueError("coverage unreachable with the available dual words")
         chosen.append(idx)
-        r = dt.type(masks[idx])
-        kept = [(i, level[np.bitwise_count(level & r) != 1])
+        kept = [(i, level[np.bitwise_count(level & cand[idx]) != 1])
                 for i, level in uncovered]
         uncovered = [(i, rest) for i, rest in kept if rest.size]
-
-    # Exact scores in closed form while few rows are chosen: each round
-    # adjoins the first candidate of maximal score, and the next round's
-    # scores add the change that its row made.
-    exact = _closed_scores(cand, [], n, d)
-    while uncovered:
-        idx = int(np.argmax(exact))
-        if exact[idx] == 0:
-            raise ValueError("coverage unreachable with the available dual words")
-        adjoin(idx)
-        words = sum(-(-len(level) // 64) for _, level in uncovered)
-        if not _closed_form_cheaper(len(chosen), words):
-            break
-        exact += _closed_scores(cand, [masks[i] for i in chosen], n, d,
-                                start=1 << len(chosen) - 1)
-
-    if uncovered:
-        # the lazy kernel takes over, seeded with the last exact scores:
-        # they bound this round's from above, as scores only fall while
-        # coverage grows
-        weights = [m.bit_count() for m in masks]
-        positions = support_positions(cand, n)
-        planes, starts = bit_planes(n, [level for _, level in uncovered])
-        heap = [(-score, i, len(chosen) - 1)
-                for i, score in enumerate(exact.tolist()) if i not in chosen]
-        heapq.heapify(heap)
-
-    def scores(batch: List[int]) -> List[int]:
-        width = max(weights[i] for i in batch)
-        once = meet_once(planes, positions[batch, :width])
-        met = np.add.reduceat(np.bitwise_count(once), starts, axis=1,
-                              dtype=np.int64)
-        return (met @ [i for i, _ in uncovered]).tolist()
-
-    while uncovered:
-        # (-score, idx, round scored): an entry scored this round tops
-        # every upper bound left in the heap, so it is the first maximal.
-        # Stale entries are rescored in batches, whatever their weights.
-        cap = max(BATCH_WORDS // planes.shape[1], 1)
-        while True:
-            if not heap:
-                raise ValueError("coverage unreachable; dual words exhausted")
-            neg, idx, scored = heapq.heappop(heap)
-            if scored == len(chosen):
-                break
-            batch = [idx]
-            while len(batch) < cap and heap and heap[0][2] != len(chosen):
-                batch.append(heapq.heappop(heap)[1])
-            for i, score in zip(batch, scores(batch)):
-                heapq.heappush(heap, (-score, i, len(chosen)))
-        if neg == 0:
-            raise ValueError("coverage unreachable with the available dual words")
-        adjoin(idx)
-        if uncovered:
+        closed = closed and _closed_form_cheaper(
+            len(chosen), sum(-(-len(level) // 64) for _, level in uncovered))
+        if closed:
+            score += _closed_scores(cand, [masks[i] for i in chosen], n, d,
+                                    start=1 << len(chosen) - 1)
+        elif uncovered:
             planes, starts = bit_planes(n, [level for _, level in uncovered])
+        score[idx] = -1
 
     # the cover need not span the dual: complete it with the code's checks
     out = Matrix(c.field, classes.data[chosen])

@@ -118,6 +118,9 @@ class Matrix:
 def mat_mul(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the field (plain ndarray in, uint8 ndarray out);
     for q not prime, a sum of outer products through the field's tables."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"inner dimensions differ: {a.shape[1]} columns "
+                         f"against {b.shape[0]} rows")
     if field.q == field.p:
         return ((a.astype(np.int64) @ b.astype(np.int64))
                 % field.q).astype(np.uint8)
@@ -356,9 +359,12 @@ class LinearCode:
         return self._d_witness
 
     def contains(self, vec: np.ndarray) -> bool:
-        syn = mat_mul(self.field, self.parity_check.data,
-                      np.asarray(vec, dtype=np.uint8)[:, None])
-        return not np.any(syn)
+        word = Matrix(self.field, [vec])  # refuses entries outside GF(q)
+        if word.n_cols != self.n:
+            raise ValueError(f"word of length {word.n_cols} for a code of "
+                             f"length {self.n}")
+        return not np.any(mat_mul(self.field, self.parity_check.data,
+                                  word.data.T))
 
 
 def min_distance(c: LinearCode) -> int:

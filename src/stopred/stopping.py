@@ -324,6 +324,9 @@ def verify_full_stopping(c: LinearCode, h: Matrix) -> bool:
     """
     if h.field.q != c.field.q:
         raise ValueError("field mismatch between code and matrix")
+    if h.n_cols != c.n:
+        raise ValueError(f"matrix has {h.n_cols} columns for a code of "
+                         f"length {c.n}")
     prod = mat_mul(c.field, c.generator.data, h.data.T)
     if np.any(prod):
         raise ValueError("matrix rows do not lie in the dual code")

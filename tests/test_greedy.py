@@ -1,5 +1,6 @@
 import re
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -328,17 +329,23 @@ WEIGHTS_MATTER_LATER = [[1, 1, 0, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0, 0, 1],
                         [0, 0, 1, 1, 1, 1, 1, 0], [1, 1, 0, 1, 0, 0, 1, 0]]
 
 
+@pytest.mark.parametrize("patches", [
+    {}, {"_closed_form_cheaper": lambda t, words: False, "BATCH_WORDS": 1},
+], ids=["default", "kernel"])
 @settings(max_examples=150, deadline=None)
 @given(greedy_cases())
 @example((2, 6, WEIGHTS_MATTER))
 @example((2, 8, WEIGHTS_MATTER_LATER))
-def test_greedy_matches_reference(case):
-    # the lazy heap over projective classes picks what rescoring every
-    # dual word each round picks
+def test_greedy_matches_reference(patches, case):
+    # greedy over projective classes picks what rescoring every dual word
+    # each round picks: with the default switch, and with every round after
+    # round 0 rescored lazily by the kernel one candidate per batch, so that
+    # its stop test and tie rule meet the oracle on every code
     q, n, rows = case
     code = LinearCode.from_parity_check(Matrix(make_field(q), rows))
     assume(1 <= n - code.k < n)
-    h = greedy_construct(code)
+    with mock.patch.dict(vars(greedy), patches):
+        h = greedy_construct(code)
     assert h.data.tolist() == ref_greedy(code.parity_check.data.tolist(), q)
 
 

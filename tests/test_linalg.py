@@ -62,6 +62,44 @@ def test_mat_mul_matches_reference(case):
     assert got.tolist() == ref_mat_mul(a.tolist(), b.tolist(), q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 13])
+def test_mat_mul_refuses_mismatched_inner_dimensions(q):
+    # the prime fields' product and the table fields' outer products
+    with pytest.raises(ValueError, match="4 columns against 5 rows"):
+        mat_mul(make_field(q), np.ones((2, 4), np.uint8),
+                np.ones((5, 1), np.uint8))
+
+
+def _gf9_43():
+    """The [4, 3] code over GF(9) with checks [[1, 2, 3, 4]]."""
+    return LinearCode.from_parity_check(Matrix(make_field(9), [[1, 2, 3, 4]]))
+
+
+def _extended(code):
+    """A codeword of `code` with one more symbol."""
+    return list(code.generator.data[0]) + [1]
+
+
+def _threes(code):
+    """A codeword of ternary `code` with each 0 written as 3."""
+    return [3 if v == 0 else int(v) for v in code.generator.data[0]]
+
+
+@pytest.mark.parametrize("code, word, message", [
+    (_gf9_43, lambda c: [0, 0, 0, 0, 7], "word of length 5 for a code of "
+                                        "length 4"),
+    (lambda: LinearCode.from_parity_check(load_asset("hexacode")), _extended,
+     "word of length 7 for a code of length 6"),
+    (lambda: LinearCode.from_parity_check(load_asset("h12")), _threes,
+     r"entry 3 out of range for GF\(3\)"),
+], ids=["gf9-long-zero-word", "hexacode-extra-symbol", "h12-threes"])
+def test_contains_refuses_words_outside_the_space(code, word, message):
+    code = code()
+    assert code.contains(code.generator.data[0])
+    with pytest.raises(ValueError, match=message):
+        code.contains(word(code))
+
+
 def _low_rank(rng, f, m, n, t):
     """A random m x n matrix over f of rank at most t."""
     return mat_mul(f, rng.integers(0, f.q, size=(m, t)),

@@ -388,6 +388,17 @@ def test_verify_full_stopping(golay24, hexacode):
     assert verify_full_stopping(hexacode, load_asset("hexacode"))
 
 
+@pytest.mark.parametrize("asset", ["hexacode", "h24"])
+def test_verify_refuses_a_matrix_of_another_length(asset):
+    # the checks less their last column, over a table field and over GF(2)
+    checks = load_asset(asset)
+    n = checks.n_cols
+    short = Matrix(checks.field, checks.data[:, :-1])
+    with pytest.raises(ValueError, match=f"matrix has {n - 1} columns for "
+                                         f"a code of length {n}"):
+        verify_full_stopping(LinearCode.from_parity_check(checks), short)
+
+
 def test_verify_rejects_non_dual_rows(golay24, gf2):
     bogus = Matrix(gf2, np.eye(24, dtype=np.uint8))
     with pytest.raises(ValueError):
