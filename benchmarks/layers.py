@@ -93,6 +93,9 @@ def layers() -> dict:
     # perfbench's rs13, the [13, 5, 9] Reed-Solomon code: 13^5 codewords
     rs13 = Matrix(field.make_field(13),
                   [[pow(x, i, 13) for x in range(13)] for i in range(8)])
+    grs744 = Matrix(field.make_field(7), [[pow(x, i, 7) if i else 1
+                                           for x in range(7)]
+                                          for i in range(4)])
     thm4 = construct.combination_pcm(h24, 6)  # 2509 rows
     h12 = cli.load_asset("h12")
     rm37 = construct.rm_generator(3, 7)  # 64 x 128: two words per node
@@ -243,6 +246,12 @@ def layers() -> dict:
         "exact_stopping_redundancy th13": (
             lambda: stopred.exact_stopping_redundancy(code_of(Matrix(
                 field.make_field(3), np.array(points, dtype=np.uint8).T))),
+            1, lambda r: [r.value, r.exact]),
+        # GRS [7, 4, 4] over GF(7): 57 classes, 100 nodes, the rank of
+        # the chosen classes over q > 2
+        "exact_stopping_redundancy grs744": (
+            lambda: stopred.exact_stopping_redundancy(
+                LinearCode.from_generator(grs744)),
             1, lambda r: [r.value, r.exact]),
         # 472 rows over GF(3): sizes 1..4 of the 6 checks, 2^size
         # coefficient tuples each

@@ -17,13 +17,13 @@ exhaustively per weight, LATTICE_CHUNK pattern masks at a time: peeling by
 `stopping._peel_residues`, which carries into each pass only the patterns
 that the last one changed and left nonempty, binary ML by the batched
 GF(2) rank of the erased columns (`linalg._rank_gf2`), and ML over q > 2
-by the test of `ml_decode` (`_independent`) one pattern at a time.  Three
-exact shortcuts avoid pointless enumeration there: once every pattern of
-some weight fails, every heavier weight fails too (failure is monotone
-under adding erasures); any pattern with more erasures than rank(H) has
-linearly dependent columns, so both decoders fail on it; and no pattern
-lighter than the stopping distance s(H) contains a stopping set, so
-peeling fails on none.  The per-weight peel therefore asks
+by the test of `ml_decode` (`Matrix.independent`) one pattern at a time.
+Three exact shortcuts avoid pointless enumeration there: once every
+pattern of some weight fails, every heavier weight fails too (failure is
+monotone under adding erasures); any pattern with more erasures than
+rank(H) has linearly dependent columns, so both decoders fail on it; and
+no pattern lighter than the stopping distance s(H) contains a stopping
+set, so peeling fails on none.  The per-weight peel therefore asks
 `stopping_distance` for s(H) first, capped at the heaviest weight it could
 enumerate, which is no heavier than w_max, rank(H) and the last level
 before the first past WEIGHT_GUARD.  The search thus reaches no further
@@ -33,11 +33,11 @@ The single-pattern decoders do only the work that depends on the
 pattern.  The erased positions become one checked mask through the one
 position boundary, `_bits.positions_mask`; a repeated position counts
 once.  `iterative_decode` peels that mask on the check matrix's cached
-row masks (`Matrix.row_masks`).  `ml_decode` reads the cached RREF row
-basis (`Matrix._ml_form`): its erased pivot columns are distinct unit
-vectors, so it ranks only the other erased columns, on the rows of the
-pivots not erased, with `linalg._rank_gf2` or the vector kernel
-`linalg._rank_gfq`.
+row masks (`Matrix.row_masks`).  `ml_decode` asks `Matrix.independent`,
+which reads the cached RREF row basis (`Matrix._ml_form`): its erased
+pivot columns are distinct unit vectors, so it ranks only the other
+erased columns, on the rows of the pivots not erased, with
+`linalg._rank_gf2` or the vector kernel `linalg._rank_gfq`.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from ._bits import (LATTICE_CHUNK, count_by_popcount, lattice_words,
                     mask_to_positions, pack_words, positions_mask, up_close,
                     weight_masks)
 from .linalg import (ENUM_GUARD, EnumerationTooLargeError, LinearCode, Matrix,
-                     _enumerate_combinations, _rank_gf2, _rank_gfq, rank)
+                     _enumerate_combinations, _rank_gf2, rank)
 from .stopping import _peel_residues, stopping_distance
 
 WEIGHT_GUARD = 1 << 25
@@ -149,32 +149,7 @@ def iterative_decode(h: Matrix, erased) -> PeelOutcome:
 def ml_decode(h: Matrix, erased) -> bool:
     """True iff the erased columns of h are linearly independent."""
     mask, pos = positions_mask(erased, h.n_cols, "erased position")
-    return _independent(h, pos if mask.bit_count() == len(pos) else set(pos))
-
-
-def _independent(h: Matrix, pos) -> bool:
-    """True iff the columns of h at the distinct positions `pos` are
-    linearly independent, read on h's cached RREF row basis.  A pattern
-    heavier than the rank is dependent at once.  Erased pivot columns are
-    distinct unit vectors, so the pattern is independent iff its other
-    columns are once the rows of those pivots are dropped."""
-    r, cols, pivots = h._ml_form()
-    if len(pos) > r:
-        return False
-    covered, rest = 0, []
-    for j in pos:
-        bit = pivots[j]
-        if bit:
-            covered |= bit
-        else:
-            rest.append(cols[j])
-    if not rest:
-        return True
-    if h.field.q == 2:
-        return _rank_gf2(rest, ~covered) == len(rest)
-    keep = [i for i in range(r) if not covered >> i & 1]
-    return _rank_gfq(h.field, [[v[i] for i in keep] for v in rest]) \
-        == len(rest)
+    return h.independent(pos if mask.bit_count() == len(pos) else set(pos))
 
 
 def _on_lattice(n: int, w_max: Optional[int]) -> bool:
@@ -320,7 +295,7 @@ def _psi_ml_by_weight(c: LinearCode,
             return _rank_gf2(rows, block) < np.bitwise_count(block)
     else:
         def fails(block: np.ndarray) -> List[bool]:
-            return [not _independent(h, mask_to_positions(int(m)))
+            return [not h.independent(mask_to_positions(int(m)))
                     for m in block]
     return _count_by_weight(c.n, h.n_rows, w_max, fails)
 

@@ -41,11 +41,16 @@ size with one `np.add.reduceat` over popcounts, and after each round
 rebuilds the planes over the sets still uncovered.  The exact search
 builds its cover table in one kernel pass and transposes it, since
 meeting in exactly one position is symmetric.
+
+The exact search reads its node tests off state carried down the path,
+not off a pass over every class or set: an intersection of coverers when
+one row is left, bit-sliced counts of free coverers, and an independent
+subset of the chosen classes for their rank (`Matrix.independent`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import List, Sequence
@@ -72,6 +77,8 @@ class RedundancyResult:
 
     value: int
     exact: bool
+    # nodes the search took; not compared, so equal answers stay equal
+    nodes: int = field(default=0, compare=False)
 
 
 @lru_cache(maxsize=16)
@@ -284,7 +291,24 @@ def exact_stopping_redundancy(c: LinearCode,
     cover every i-set (i = 1..d-1) and span the dual.  The greedy matrix
     seeds the incumbent.  Exhausting the node budget returns the incumbent
     flagged as an upper bound only.
+
+    A node is pruned when the rows left under the incumbent cannot cover
+    the uncovered sets or complete the rank; otherwise it branches on the
+    first uncovered set with the fewest free (not banned) coverers, over
+    those coverers ascending, banning each after its subtree.  Each test
+    reads state carried down the path, not a pass over every class:
+    - with one row left, the coverers of the uncovered sets must share a
+      free class (stopped at the first empty intersection);
+    - the free-coverer counts are bit planes (plane j: the sets whose
+      count has bit j), lowered by one borrow chain per banned sibling
+      once a later sibling branches.  The target is the first set in no
+      plane above plane 0 (count <= 1), else the first of least count;
+    - the chosen rank is the size of an independent subset of the chosen
+      classes, grown by `Matrix.independent` on the class columns only at
+      a node that reaches the rank bound or completes a cover.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError(f"budget must be an int, got {budget!r}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     n, k, q = c.n, c.k, c.field.q
@@ -295,7 +319,7 @@ def exact_stopping_redundancy(c: LinearCode,
                          f"{CLASS_GUARD} search guard")
     d = c.min_distance()
     classes = full_dual_pcm(c)
-    reps = classes.data
+    columns = Matrix(c.field, classes.data.T)  # one column per class
     best = greedy_construct(c).n_rows
     nodes = 0
 
@@ -310,52 +334,82 @@ def exact_stopping_redundancy(c: LinearCode,
     table = unpack_words(meet_once(bit_planes(n, [sets])[0],
                                    support_positions(rows, n)))[:, :len(sets)]
     cover, coverers = pack_rows(table), pack_rows(table.T)
+    # plane j: the sets whose count of coverers has bit j
+    counts = table.sum(axis=0, dtype=np.int64)
+    planes = pack_rows(counts >> np.arange(int(counts.max(initial=0))
+                                           .bit_length())[:, None] & 1)
 
-    def deficit(chosen: List[int]) -> int:
-        """Rows still needed to span the dual after the chosen classes."""
-        return (n - k) - rank(Matrix(c.field, reps[chosen]))
+    def spanned(basis: List[int], chosen: List[int]) -> List[int]:
+        """An independent subset of the chosen classes with their rank,
+        from one (`basis`) of all but the newest."""
+        if chosen and columns.independent(basis + chosen[-1:]):
+            return basis + chosen[-1:]
+        return basis
 
-    def dfs(uncovered: int, banned: int, chosen: List[int]) -> bool:
-        """Search below one node; False once the node budget is spent."""
+    def dfs(uncovered: int, banned: int, owed: int, planes: List[int],
+            chosen: List[int], basis: List[int]) -> bool:
+        """Search below one node; False once the node budget is spent.
+        `planes` still count the free coverers of the classes in `owed`,
+        the siblings banned before this node."""
         nonlocal best, nodes
         count = len(chosen)
         if uncovered == 0:
-            best = min(best, count + deficit(chosen))
+            best = min(best, count + n - k - len(spanned(basis, chosen)))
             return True
-        nodes += 1
-        if nodes > budget:
+        if nodes == budget:
             return False
+        nodes += 1
         allowance = best - 1 - count
         if allowance <= 0:
             return True
-        # the cover bound: the allowance of rows covers every set only if
-        # some free class covers ceil(|uncovered| / allowance) of them, so
-        # the scan stops at the first class that does
-        need = -(-uncovered.bit_count() // allowance)
-        for ci, bits in enumerate(cover):
-            if ((bits & uncovered).bit_count() >= need
-                    and not (banned >> ci) & 1):
-                break
+        if allowance == 1:
+            # one free class must cover every uncovered set
+            common, rest = ~banned, uncovered
+            while rest:
+                common &= coverers[(rest & -rest).bit_length() - 1]
+                if not common:
+                    return True
+                rest &= rest - 1
         else:
-            return True
-        if deficit(chosen) > allowance:
-            return True
-        # branch on the first uncovered set with the fewest free coverers
-        free = ~banned
-        rest, target, fewest = uncovered, 0, None
-        while rest:
-            si = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            avail = (coverers[si] & free).bit_count()
-            if fewest is None or avail < fewest:
-                target, fewest = si, avail
-                if avail <= 1:
+            # the allowance of rows covers every set only if some free
+            # class covers ceil(|uncovered| / allowance) of them, so the
+            # scan stops at the first class that does
+            need = -(-uncovered.bit_count() // allowance)
+            for ci, bits in enumerate(cover):
+                if ((bits & uncovered).bit_count() >= need
+                        and not (banned >> ci) & 1):
                     break
-        for ci in mask_to_positions(coverers[target] & free):
-            if not dfs(uncovered & ~cover[ci], banned, chosen + [ci]):
+            else:
+                return True
+        basis = spanned(basis, chosen)
+        if n - k - len(basis) > allowance:
+            return True
+        # take each owed class's cover off the counts by one borrow chain
+        for ci in mask_to_positions(owed):
+            borrow, left = cover[ci], []
+            for p in planes:
+                left.append(p ^ borrow)
+                borrow &= ~p
+            planes = left
+        # branch on the first uncovered set with the fewest free coverers,
+        # at once if one has at most one
+        low = uncovered
+        for p in planes[1:]:
+            low &= ~p
+        if not low:
+            low = uncovered
+            for p in reversed(planes):
+                if low & ~p:
+                    low &= ~p
+        target = (low & -low).bit_length() - 1
+        owed = 0
+        for ci in mask_to_positions(coverers[target] & ~banned):
+            if not dfs(uncovered & ~cover[ci], banned, owed, planes,
+                       chosen + [ci], basis):
                 return False
             banned |= 1 << ci
+            owed |= 1 << ci
         return True
 
-    exact = dfs((1 << len(sets)) - 1, 0, [])
-    return RedundancyResult(best, exact)
+    exact = dfs((1 << len(sets)) - 1, 0, 0, planes, [], [])
+    return RedundancyResult(best, exact, nodes)

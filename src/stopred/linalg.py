@@ -49,6 +49,8 @@ class Matrix:
     (`row_masks`, an immutable tuple that every caller shares) and the ML
     form (`_ml_form`): the rank, the columns of the RREF row basis, and
     for each column the bit of its pivot row, 0 for a non-pivot column.
+    `independent` tests a column subset on the ML form; the ML decoder
+    and the exact search's rank share it.
     """
 
     __slots__ = ("field", "data", "_masks", "_ml")
@@ -105,6 +107,31 @@ class Matrix:
                                            if self.field.q == 2
                                            else cols.tolist()), tuple(bits))
         return self._ml
+
+    def independent(self, pos) -> bool:
+        """True iff the columns at the distinct positions `pos` are
+        linearly independent, read on the cached RREF row basis
+        (`_ml_form`).  A set larger than the rank is dependent at once.
+        Pivot columns are distinct unit vectors, so the set is independent
+        iff its other columns are once the rows of those pivots are
+        dropped."""
+        r, cols, pivots = self._ml_form()
+        if len(pos) > r:
+            return False
+        covered, rest = 0, []
+        for j in pos:
+            bit = pivots[j]
+            if bit:
+                covered |= bit
+            else:
+                rest.append(cols[j])
+        if not rest:
+            return True
+        if self.field.q == 2:
+            return _rank_gf2(rest, ~covered) == len(rest)
+        keep = [i for i in range(r) if not covered >> i & 1]
+        return _rank_gfq(self.field, [[v[i] for i in keep] for v in rest]) \
+            == len(rest)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field.q == other.field.q

@@ -245,3 +245,69 @@ def ref_greedy(check_rows, q, weighted=True):
         if ref_rank(out + [list(row)], q) > ref_rank(out, q):
             out.append(list(row))
     return out
+
+
+def ref_exact_search(code, budget):
+    """The exact stopping-redundancy search node by node, each test read
+    from its definition; returns (value, exact, nodes).
+
+    The candidates are the nonzero dual words with leading symbol 1 (one
+    per projective class), lexicographic; the sets are the i-sets,
+    i = 2..d-1, by size, then by mask (bit j for position j); a word
+    covers a set it meets exactly once.  The greedy cover seeds the
+    incumbent.  A node (a chosen list with some uncovered sets) counts
+    against the budget.  With an allowance of a rows left under the
+    incumbent it is pruned unless some class not yet banned covers
+    ceil(uncovered / a) sets, and unless the chosen rows can still span
+    the dual within a rows.  It branches on the first uncovered set with
+    the fewest free coverers, stopping at the first with at most one,
+    over those coverers ascending, banning each after its subtree.  A
+    cover completes with the rank deficit in rows."""
+    q = code.field.q
+    check_rows = code.parity_check.data.tolist()
+    n = len(check_rows[0])
+    full = ref_rank(check_rows, q)
+    d = ref_min_distance(code.generator.data.tolist(), q)
+    classes = sorted({tuple(f_mul(q, f_inv(q, next(x for x in w if x)), x)
+                            for x in w)
+                      for w in ref_codewords(check_rows, q) if any(w)})
+    sets = sorted((s for i in range(2, d) for s in combinations(range(n), i)),
+                  key=lambda s: (len(s), sum(1 << j for j in s)))
+    covers = [{si for si, s in enumerate(sets)
+               if sum(1 for j in s if word[j]) == 1} for word in classes]
+    best = len(ref_greedy(check_rows, q))
+    nodes = 0
+
+    def deficit(chosen):
+        return full - ref_rank([classes[ci] for ci in chosen], q)
+
+    def dfs(uncovered, banned, chosen):
+        nonlocal best, nodes
+        if not uncovered:
+            best = min(best, len(chosen) + deficit(chosen))
+            return True
+        if nodes == budget:
+            return False
+        nodes += 1
+        allowance = best - 1 - len(chosen)
+        if allowance <= 0:
+            return True
+        free = [ci for ci in range(len(classes)) if ci not in banned]
+        need = -(-len(uncovered) // allowance)
+        if all(len(covers[ci] & uncovered) < need for ci in free):
+            return True
+        if deficit(chosen) > allowance:
+            return True
+        avail = {si: sum(1 for ci in free if si in covers[ci])
+                 for si in uncovered}
+        enough = max(min(avail.values()), 1)
+        target = min(si for si in uncovered if avail[si] <= enough)
+        for ci in free:
+            if target in covers[ci]:
+                if not dfs(uncovered - covers[ci], banned, chosen + [ci]):
+                    return False
+                banned = banned | {ci}
+        return True
+
+    exact = dfs(frozenset(range(len(sets))), frozenset(), [])
+    return best, exact, nodes

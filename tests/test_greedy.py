@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reference import (ref_codewords, ref_greedy, ref_rank,
+from reference import (ref_codewords, ref_exact_search, ref_greedy, ref_rank,
                        ref_stopping_distance)
 from stopred._bits import (bit_planes, mask_dtype, meet_once, support_positions,
                            weight_levels)
@@ -229,19 +229,31 @@ def test_exact_hamming_codes(checks, rho):
     assert result.exact and result.value == rho
 
 
+# 13 of the 21 points of PG(2, 4) as columns: a [13, 10, 3] code on which
+# greedy takes 6 rows and the search proves 5 (checked by brute force over
+# the 21 classes), so covers complete below the incumbent and the rank of
+# their classes, some of them dependent, sets the value
+GF4_13 = [[1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1],
+          [2, 2, 0, 3, 0, 1, 1, 1, 2, 0, 3, 0, 3],
+          [3, 1, 2, 3, 1, 3, 1, 0, 2, 0, 2, 1, 0]]
+
+
 @pytest.mark.parametrize("checks, rho, budget", [
     (lambda: load_asset("hexacode"), 6, 25),
     (ternary_hamming13_checks, 6, 280),
     (lambda: rm_generator(1, 4), 7, 13654),
-], ids=["hexacode", "th13", "eh16"])
+    (lambda: Matrix(make_field(4), GF4_13), 5, 244),
+], ids=["hexacode", "th13", "eh16", "gf4-13"])
 def test_exact_search_node_order(checks, rho, budget):
     # the smallest budget that proves the value pins the branching order:
     # fewest free coverers, first such set, candidates ascending
     code = LinearCode.from_parity_check(checks())
-    assert exact_stopping_redundancy(code, budget) == \
-        RedundancyResult(rho, exact=True)
-    assert exact_stopping_redundancy(code, budget - 1) == \
-        RedundancyResult(rho, exact=False)
+    result = exact_stopping_redundancy(code, budget)
+    assert result == RedundancyResult(rho, exact=True)
+    assert result.nodes == budget
+    short = exact_stopping_redundancy(code, budget - 1)
+    assert short == RedundancyResult(rho, exact=False)
+    assert short.nodes == budget - 1
 
 
 def test_greedy_completes_the_span():
@@ -256,14 +268,17 @@ def test_greedy_completes_the_span():
 
 
 def test_exact_rank_bound_prunes_the_root():
-    # three [2,1,2] repetition codes: the all-ones word covers every 1-set,
-    # so only the rank deficit (3 > 2 rows left under the greedy 3) proves
-    # the greedy matrix optimal, in one node
+    # the [7, 4, 3] Hamming code: a weight-4 dual word covers 12 of the 21
+    # 2-sets, so the cover bound (11 with 2 rows left under the greedy 3)
+    # passes, and only the rank deficit (3 > 2) proves the greedy matrix
+    # optimal, in one node
     code = LinearCode.from_parity_check(Matrix(make_field(2), [
-        [1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]))
+        [(j >> i) & 1 for j in range(1, 8)] for i in range(3)]))
     assert greedy_construct(code).n_rows == 3
-    assert exact_stopping_redundancy(code, budget=1) == \
-        RedundancyResult(3, exact=True)
+    result = exact_stopping_redundancy(code, budget=1)
+    assert result == RedundancyResult(3, exact=True) and result.nodes == 1
+    assert exact_stopping_redundancy(code, budget=0) == \
+        RedundancyResult(3, exact=False)
 
 
 def _brute_force_redundancy(rows, q, n):
@@ -311,6 +326,44 @@ def test_greedy_and_exact_match_brute_force(case):
 
 
 @st.composite
+def search_cases(draw):
+    """(q, check rows, budget) over q in {2, 3, 4}.  Half of the matrices
+    have distinct projective points as columns, so d >= 3 and the search
+    has sets to cover; the rest are arbitrary, often with d <= 2 and no
+    sets.  n stays where the oracle's q^n enumeration is quick."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    r = draw(st.integers(2, {2: 5, 3: 3, 4: 3}[q]))
+    n_max = {2: 11, 3: 7, 4: 6}[q]
+    if draw(st.booleans()):
+        points = [v for v in product(range(q), repeat=r)
+                  if any(v) and next(x for x in v if x) == 1]
+        cols = draw(st.lists(st.sampled_from(points), min_size=r + 1,
+                             max_size=min(len(points), n_max), unique=True))
+        rows = [list(col) for col in zip(*cols)]
+    else:
+        n = draw(st.integers(r + 1, n_max))
+        rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                      max_size=n), min_size=r, max_size=r))
+    return q, rows, draw(st.integers(0, 64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases())
+@example((2, [[1, 1, 1, 1, 1]], 0))          # d = 2: no sets to cover
+@example((3, [[1, 0, 1], [0, 0, 1]], 3))     # d = 1: a zero column
+@example((4, load_asset("hexacode").data.tolist(), 24))
+def test_exact_search_matches_reference(case):
+    # the same tree as the search written from its definitions: value,
+    # exact bit and node count agree at every budget
+    q, rows, budget = case
+    code = LinearCode.from_parity_check(Matrix(make_field(q), rows))
+    assume(1 <= code.n - code.k < code.n)
+    result = exact_stopping_redundancy(code, budget)
+    assert (result.value, result.exact, result.nodes) == \
+        ref_exact_search(code, budget)
+
+
+@st.composite
 def greedy_cases(draw):
     q = draw(st.sampled_from([2, 3, 4, 5]))
     n = draw(st.integers(2, {2: 8, 3: 7}.get(q, 6)))
@@ -347,6 +400,15 @@ def test_greedy_matches_reference(patches, case):
     with mock.patch.dict(vars(greedy), patches):
         h = greedy_construct(code)
     assert h.data.tolist() == ref_greedy(code.parity_check.data.tolist(), q)
+
+
+@pytest.mark.parametrize("budget", [True, 2.5, "7", np.int64(7)],
+                         ids=["bool", "float", "str", "numpy-int"])
+def test_exact_refuses_a_budget_that_is_not_an_int(hexacode, budget):
+    # True would run as a budget of 1 node, 2.5 as one of 3
+    with pytest.raises(ValueError, match=re.escape(
+            f"budget must be an int, got {budget!r}")):
+        exact_stopping_redundancy(hexacode, budget)
 
 
 def test_exact_budget_exhaustion(hexacode):
